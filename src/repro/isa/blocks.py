@@ -1,19 +1,31 @@
-"""Basic-block superinstructions for the ISA interpreter.
+"""Instruction semantics and timing, as generated code.
 
-The threaded-code dispatcher (:mod:`repro.isa.interpreter`) pays one
-Python call, one scoreboard merge, and one ``state.pc`` store per
-*dynamic instruction*. This module moves that cost to the basic-block
-level: each straight-line run of instructions compiles — once per
-``(latency table, PIB window)`` pair, cached on the
-:class:`~repro.isa.program.Program` — into **one fused closure** of
-generated Python source that
+This module is the single definition of what every opcode does and what
+it costs. :class:`_BlockEmitter` turns a straight-line run of
+instructions into the Python source of one closure, and
+:func:`compile_blocks` builds every dispatch table the interpreter
+(:mod:`repro.isa.interpreter`) runs from those closures:
 
-* threads the issue clock and the per-register scoreboard through
-  locals, touching ``state.regs`` / ``state.ready`` once per register
-  per block instead of once per instruction;
-* folds every compile-time-constant quantity (latency rows, immediates,
-  retire counts, load/store/flop counter deltas) into literals;
-* writes ``state.pc`` only at block exit.
+* **1-instruction blocks** — every index of a program compiles into a
+  closure that executes exactly that instruction. A table of only these
+  is per-instruction dispatch (``Interpreter(block_dispatch=False)``
+  and sanitized chips): ``state.pc`` is written at block exit, so
+  during an instruction's memory access it still names that
+  instruction, as the coherence sanitizer's fault reports need.
+* **Fused blocks** — with block dispatch on, every multi-instruction
+  basic block additionally compiles into one closure installed at its
+  leader. Non-leader indices keep their 1-instruction blocks, so a
+  ``jr`` into the middle of a block executes instruction by instruction
+  until the next leader.
+
+A closure threads the issue clock and the per-register scoreboard
+through locals, touching ``state.regs`` / ``state.ready`` once per
+register per block; folds every compile-time constant (latency rows,
+immediates, retire counts, counter deltas) into literals; and writes
+``state.pc`` only at block exit. Each table is one generated module,
+compiled with one ``compile()`` call and cached on the
+:class:`~repro.isa.program.Program` keyed by ``(latency table,
+PIB window)``.
 
 **Block formation.** A leader is the program entry, every branch
 target, every fall-through past a block terminator, and every
@@ -21,30 +33,26 @@ instruction whose address starts a new PIB window. A block runs from a
 leader to the first terminator: a branch or a ``halt``. *Generator*
 instructions (memory, FPU, SPR, atomic — the units that synchronize
 with the global event order) do **not** end a block: each one's
-scheduler yield is reproduced verbatim inside the fused closure, with
-the thread's architectural state (clock, counter deltas) flushed
-before parking, so the global event order — and therefore every
-simulated cycle count — is unchanged. Caching register/scoreboard
-values in locals across those yields is safe because that state is
-thread-private; everything shared (backing memory, FPU pipes, the SPR
-file) is read live, after the owning instruction's own yield.
+scheduler yield is reproduced verbatim inside the closure, with the
+thread's architectural clock flushed before parking, so the global
+event order — and therefore every simulated cycle count — matches
+per-instruction dispatch. Caching register/scoreboard values in locals
+across those yields is safe because that state is thread-private;
+everything shared (backing memory, FPU pipes, the SPR file) is read
+live, after the owning instruction's own yield.
 
-**Why blocks never span a PIB window.** The per-instruction loop
-consults the prefetch buffer before every instruction; straight-line
-fetch inside the 16-instruction window is free and only a window
-crossing can fetch. Cutting blocks at window boundaries makes the
-per-block PIB check in the dispatch loop equivalent to the
-per-instruction check, for both ``model_fetch`` modes, with no fetch
-logic inside blocks.
+**Why blocks never span a PIB window.** The dispatch loop consults the
+prefetch buffer before every entry; straight-line fetch inside the
+16-instruction window is free and only a window crossing can fetch.
+Cutting blocks at window boundaries makes the per-block PIB check
+equivalent to a per-instruction one, for both ``model_fetch`` modes,
+with no fetch logic inside blocks.
 
-**Fallbacks.** Non-leader indices (reachable only through ``jr`` into
-the middle of a block) keep their per-instruction handlers, so
-mid-block entry executes instruction-by-instruction until the next
-leader. A block containing an instruction the code generator cannot
-reproduce exactly (an odd register where a double pair is required —
-the per-instruction handler raises at run time) is not fused at all.
-Sanitized runs and ``CYCLOPS_NO_SUPERINST=1`` disable block dispatch
-entirely at the interpreter level (see ``Interpreter``).
+**Functional tables.** :class:`_FunctionalEmitter` replaces only the
+timing hooks — scoreboard, stalls, yields, unit reservation, counter
+flush — with nothing, plus cache warming and an untimed atomic
+read-modify-write, so sampled fast-forward (:mod:`repro.sampling`) runs
+the same opcode definitions with no clock and no scheduler.
 """
 
 from __future__ import annotations
@@ -99,8 +107,7 @@ def _sx(expr: str) -> str:
 
 #: ALU value expression per mnemonic: (builder(a, b, imm), needs_mask).
 #: ``a``/``b`` are u32 expressions (a local name or the literal ``0``);
-#: masking to 32 bits happens at writeback exactly as the
-#: per-instruction handlers do.
+#: masking to 32 bits happens at writeback.
 _ALU_EXPR = {
     "add": (lambda a, b, imm: f"{a} + {b}", True),
     "sub": (lambda a, b, imm: f"{a} - {b}", True),
@@ -149,8 +156,7 @@ _FPU_VALUE_EXPR = {
     "fmov": "_a",
 }
 
-#: FPU sub-unit method and flop count per arithmetic mnemonic — mirrors
-#: the interpreter's ``_FPU_ARITH`` table.
+#: FPU sub-unit method and flop count per arithmetic mnemonic.
 _FPU_UNIT = {
     "fadd": ("add", 1), "fsub": ("add", 1), "fmul": ("multiply", 1),
     "fdiv": ("divide", 1), "fsqrt": ("sqrt", 1), "fmadd": ("fma", 2),
@@ -160,10 +166,6 @@ _FPU_UNIT = {
 
 _AMO_OPS = {"amoadd": "add", "amoswap": "swap",
             "amoand": "and", "amoor": "or"}
-
-
-class _Unfusable(Exception):
-    """The block contains an instruction codegen cannot reproduce."""
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +226,18 @@ def block_spans(program: Program,
 # Code generation for one block
 # ---------------------------------------------------------------------------
 class _BlockEmitter:
-    """Emits the fused Python source of one basic block."""
+    """Emits the timed Python source of one block.
+
+    The ``emit_*`` methods define each opcode's value and data movement
+    once; timing enters only through the hooks below them
+    (:meth:`wait_deps`, :meth:`stall_to_e`, :meth:`retire`,
+    :meth:`await_issue`, :meth:`access_memory`, :meth:`atomic_rmw`,
+    :meth:`reserve_fpu`, :meth:`fence`, :meth:`flush`), which
+    :class:`_FunctionalEmitter` overrides.
+    """
+
+    #: Clock expression recorded as a halting thread's finish time.
+    CLOCK = "it"
 
     def __init__(self, program: Program, lat, start: int, end: int) -> None:
         self.program = program
@@ -246,7 +259,7 @@ class _BlockEmitter:
         self.nf = 0      # flops
         self.is_gen = False
 
-    # -- small emission helpers ---------------------------------------
+    # -- register and scoreboard locals -------------------------------
     def emit(self, line: str) -> None:
         self.lines.append("    " + line)
 
@@ -279,24 +292,39 @@ class _BlockEmitter:
         self.dirty_t.add(reg)
 
     def read_double(self, reg: int) -> str:
-        """Double-precision read of pair *reg* (must be even)."""
+        """Double-precision value expression of pair *reg*.
+
+        An odd *reg* embeds the register file's own read, which raises
+        the "pair must start at an even register" fault at run time.
+        """
         if reg % 2:
-            raise _Unfusable(f"double read of odd r{reg}")
+            return f"state.regs.read_double({reg})"
         lo = self.rv(reg)
         hi = self.rv(reg + 1)
         return f"_up_d(_pk_II({lo}, {hi}))[0]"
 
     def write_double(self, reg: int, expr: str) -> None:
         if reg % 2:
-            raise _Unfusable(f"double write of odd r{reg}")
+            # The register file raises the odd-pair fault.
+            self.emit(f"state.regs.write_double({reg}, {expr})")
+            return
         if reg == 0:
             # Pair-0 writes are discarded whole, like the register file's
-            # write_double; the value expression was already evaluated.
+            # write_double.
             return
         self.emit(f"r{reg}, r{reg + 1} = _up_II(_pk_d({expr}))")
         self.local_r.update((reg, reg + 1))
         self.dirty_r.update((reg, reg + 1))
 
+    def flush_registers(self) -> None:
+        for reg in sorted(self.dirty_r):
+            self.emit(f"_R[{reg}] = r{reg}")
+        for reg in sorted(self.dirty_t):
+            self.emit(f"_T[{reg}] = t{reg}")
+        self.dirty_r.clear()
+        self.dirty_t.clear()
+
+    # -- timing hooks --------------------------------------------------
     def wait_deps(self, deps: tuple[int, ...]) -> None:
         """``e = max(it, ready[deps...])`` with locals, dupes skipped."""
         self.emit("e = it")
@@ -319,6 +347,50 @@ class _BlockEmitter:
         self.nr += execution
         self.emit(f"it += {execution}")
 
+    def await_issue(self, deps: tuple[int, ...]) -> None:
+        """Wait for *deps*, then park until the global event order
+        reaches the issue cycle ``e`` (the architectural clock is
+        flushed first, so other threads see it)."""
+        self.wait_deps(deps)
+        self.is_gen = True
+        self.emit("tu.issue_time = it")
+        self.emit("e = yield e")
+
+    def access_memory(self, index: int, ea: str, access_mask: int,
+                      access_size: int, is_store: bool) -> None:
+        """Reserve the timed memory access; ``_o`` is its outcome."""
+        self.emit(
+            f"_o = state.memory.access(e, tu.quad_id, {ea} & "
+            f"{access_mask}, {access_size}, {is_store})"
+        )
+        self.emit("e = _o.issue_end - 1")
+        self.stall_to_e()
+
+    def atomic_rmw(self, op: str, a: str, b: str) -> None:
+        """The timed read-modify-write at *a*; ``_old`` is the old word."""
+        self.emit(
+            f"_o, _old = state.memory.atomic_rmw_u32(e, tu.quad_id, "
+            f"{a}, {op!r}, {b})"
+        )
+        self.emit("e = _o.issue_end - 1")
+        self.stall_to_e()
+
+    def reserve_fpu(self, unit_attr: str, execution: int,
+                    deps: tuple[int, ...]) -> None:
+        """Issue to FPU sub-unit *unit_attr*; ``_rt`` is the result time."""
+        self.await_issue(deps)
+        self.emit(f"_ie, _rt = state.fpu.{unit_attr}(e)")
+        self.emit(f"e = _ie - {execution}")
+        self.stall_to_e()
+
+    def fence(self) -> None:
+        """``sync``: wait for every register's pending value. It reads
+        the whole scoreboard, so the locals must reach the array first."""
+        for reg in sorted(self.dirty_t):
+            self.emit(f"_T[{reg}] = t{reg}")
+        self.emit("e = max(_T)")
+        self.stall_to_e()
+
     def flush(self) -> None:
         """Store the clock and counter deltas back to state (block exit).
 
@@ -326,7 +398,7 @@ class _BlockEmitter:
         reads them while a thread is parked — so the whole block's
         deltas land in one batch of compile-time constants here. The
         architectural clock is different: it is flushed before every
-        yield (see :meth:`pre_yield`) as well as here.
+        yield (see :meth:`await_issue`) as well as here.
         """
         self.emit("tu.issue_time = it")
         self.emit("c = tu.counters")
@@ -343,24 +415,22 @@ class _BlockEmitter:
         self.emit("if nst:")
         self.emit("    c.stall_cycles += nst; c.stall_events += nse")
 
-    def flush_registers(self) -> None:
-        for reg in sorted(self.dirty_r):
-            self.emit(f"_R[{reg}] = r{reg}")
-        for reg in sorted(self.dirty_t):
-            self.emit(f"_T[{reg}] = t{reg}")
-        self.dirty_r.clear()
-        self.dirty_t.clear()
+    def prologue(self, fn_name: str) -> list[str]:
+        """Opening lines of the generated ``def``."""
+        return [
+            f"def {fn_name}(state):",
+            "    tu = state.tu",
+            "    _R = state.regs._regs",
+            "    _T = state.ready",
+            "    it = tu.issue_time",
+            "    nst = 0",
+            "    nse = 0",
+        ]
 
-    def pre_yield(self) -> None:
-        """Sync the architectural clock before parking at a yield."""
-        self.is_gen = True
-        self.emit("tu.issue_time = it")
-
-    # -- per-unit emitters --------------------------------------------
+    # -- one method per unit: each opcode's value and data movement ----
     def emit_alu(self, inst: Instruction) -> None:
         name = inst.opcode.name
-        row = getattr(self.lat, inst.opcode.latency_row)
-        execution, latency = row
+        execution, latency = getattr(self.lat, inst.opcode.latency_row)
         a, b = self.rv(inst.ra), self.rv(inst.rb)
         if name in ("div", "divu", "rem"):
             self.emit(f"if {b} == 0:")
@@ -387,30 +457,18 @@ class _BlockEmitter:
 
     def emit_system(self, inst: Instruction) -> None:
         name = inst.opcode.name
-        if name == "nop":
-            self.retire(1)
-            return
+        if name == "sync":
+            self.fence()
+        self.retire(1)
         if name == "tid":
-            self.retire(1)
             self.write_r(inst.rd, "tu.tid")
             self.write_t(inst.rd, "it")
-            return
-        if name == "sync":
-            # Conservative fence: waits on every register, so the
-            # scoreboard locals must be visible in the array first.
-            for reg in sorted(self.dirty_t):
-                self.emit(f"_T[{reg}] = t{reg}")
-            self.emit("e = max(_T)")
-            self.stall_to_e()
-            self.retire(1)
-            return
-        raise _Unfusable(f"system op {name}")
 
     def emit_halt(self) -> None:
         self.retire(1)
         self.flush()
         self.flush_registers()
-        self.emit("c.finish_time = it")
+        self.emit(f"c.finish_time = {self.CLOCK}")
         self.emit("state.halted = True")
         self.emit("return")
 
@@ -448,12 +506,10 @@ class _BlockEmitter:
         name = inst.opcode.name
         size = MEM_SIZES[name]
         is_store = inst.opcode.unit is UnitClass.STORE
+        # Sub-word accesses are timed as their containing word.
         align_mask = ~(size - 1) if size >= 4 else ~3
-        access_size = size if size >= 4 else 4
         rd = inst.rd
-        self.wait_deps(inst.scoreboard_deps())
-        self.pre_yield()
-        self.emit("e = yield e")
+        self.await_issue(inst.scoreboard_deps())
         ea = self.rv(inst.ra)
         if inst.imm:
             self.emit(f"_ea = ({ea} + ({inst.imm})) & 4294967295")
@@ -462,12 +518,7 @@ class _BlockEmitter:
         # interest-group bits | aligned offset — the two mask terms
         # partition the address bits, so they fold into a single AND.
         access_mask = 0xFF000000 | (0xFFFFFF & align_mask)
-        self.emit(
-            f"_o = state.memory.access(e, tu.quad_id, {ea} & "
-            f"{access_mask}, {access_size}, {is_store})"
-        )
-        self.emit("e = _o.issue_end - 1")
-        self.stall_to_e()
+        self.access_memory(index, ea, access_mask, max(size, 4), is_store)
         self.retire(1)
         if is_store:
             self.ns += 1
@@ -490,37 +541,25 @@ class _BlockEmitter:
                 else:  # sb
                     self.emit(f"_dat[_ph % 4] = {self.rv(rd)} & 255")
                 self.emit("state.backing.write_block(_wb, bytes(_dat))")
-        else:
-            self.nl += 1
-            if name == "ld":
-                if rd % 2:
-                    raise _Unfusable("ld into odd pair")
-                self.write_double(rd, "state.backing.load_f64(_ph)")
-                self.write_t(rd, "_o.complete")
-                self.write_t(rd + 1 if rd + 1 < 64 else rd, f"t{rd}")
-            else:
-                if name == "lw":
-                    self.write_r(rd, "state.backing.load_u32(_ph)")
-                else:  # lhu / lbu
-                    self.write_r(
-                        rd,
-                        "_ifb(state.backing.read_block("
-                        f"_ph, {size}), 'little')",
-                    )
-                self.write_t(rd, "_o.complete")
+            return
+        self.nl += 1
+        if name == "ld":
+            self.write_double(rd, "state.backing.load_f64(_ph)")
+            self.write_t(rd, "_o.complete")
+            self.write_t(rd + 1 if rd + 1 < 64 else rd, f"t{rd}")
+            return
+        if name == "lw":
+            self.write_r(rd, "state.backing.load_u32(_ph)")
+        else:  # lhu / lbu
+            self.write_r(
+                rd, f"_ifb(state.backing.read_block(_ph, {size}), 'little')"
+            )
+        self.write_t(rd, "_o.complete")
 
     def emit_atomic(self, index: int, inst: Instruction) -> None:
-        op = _AMO_OPS[inst.opcode.name]
-        self.wait_deps((inst.ra, inst.rb))
+        self.await_issue((inst.ra, inst.rb))
         a, b = self.rv(inst.ra), self.rv(inst.rb)
-        self.pre_yield()
-        self.emit("e = yield e")
-        self.emit(
-            f"_o, _old = state.memory.atomic_rmw_u32(e, tu.quad_id, "
-            f"{a}, {op!r}, {b})"
-        )
-        self.emit("e = _o.issue_end - 1")
-        self.stall_to_e()
+        self.atomic_rmw(_AMO_OPS[inst.opcode.name], a, b)
         self.retire(1)
         self.nl += 1
         self.ns += 1
@@ -533,39 +572,32 @@ class _BlockEmitter:
         deps = inst.scoreboard_deps()
         rd1 = rd + 1 if rd + 1 < 64 else rd
 
-        if name in ("cvtif", "cvtfi"):
-            self.wait_deps(deps)
-            a = self.rv(ra)  # loads the local before the yield if needed
-            if name == "cvtfi":
-                src = self.read_double(ra)
-            self.pre_yield()
-            self.emit("e = yield e")
-            self.emit("_ie, _rt = state.fpu.convert(e)")
-            self.emit("e = _ie - 1")
-            self.stall_to_e()
+        if name == "cvtif":
+            a = self.rv(ra)
+            self.reserve_fpu("convert", 1, deps)
             self.retire(1)
             self.nf += 1
-            if name == "cvtif":
-                self.write_double(rd, f"float({_sx(a)})")
-                self.write_t(rd, "_rt")
-                self.write_t(rd1, "_rt")
-            else:
-                self.write_r(rd, f"int({src}) & 4294967295")
-                self.write_t(rd, "_rt")
+            self.write_double(rd, f"float({_sx(a)})")
+            self.write_t(rd, "_rt")
+            self.write_t(rd1, "_rt")
+            return
+        if name == "cvtfi":
+            src = self.read_double(ra)
+            self.reserve_fpu("convert", 1, deps)
+            self.retire(1)
+            self.nf += 1
+            self.write_r(rd, f"int({src}) & 4294967295")
+            self.write_t(rd, "_rt")
             return
 
+        # Both operand pairs are read before issue; an odd rb reads 0.0.
+        self.emit(f"_a = {self.read_double(ra)}")
+        b_expr = self.read_double(rb) if rb % 2 == 0 else "0.0"
+        self.emit(f"_b = {b_expr}")
         if name in ("fcmplt", "fcmpeq"):
-            self.emit(f"_a = {self.read_double(ra)}")
-            b_expr = self.read_double(rb) if rb % 2 == 0 else "0.0"
-            self.emit(f"_b = {b_expr}")
             cmp = "<" if name == "fcmplt" else "=="
             self.emit(f"_v = 1 if _a {cmp} _b else 0")
-            self.wait_deps(deps)
-            self.pre_yield()
-            self.emit("e = yield e")
-            self.emit("_ie, _rt = state.fpu.add(e)")
-            self.emit("e = _ie - 1")
-            self.stall_to_e()
+            self.reserve_fpu("add", 1, deps)
             self.retire(1)
             self.nf += 1
             self.write_r(rd, "_v")
@@ -574,23 +606,13 @@ class _BlockEmitter:
 
         unit_attr, flops = _FPU_UNIT[name]
         execution = getattr(self.lat, inst.opcode.latency_row)[0]
-        self.emit(f"_a = {self.read_double(ra)}")
-        b_expr = self.read_double(rb) if rb % 2 == 0 else "0.0"
-        self.emit(f"_b = {b_expr}")
         if name in ("fmadd", "fmsub"):
             self.emit(f"_d = {self.read_double(rd)}")
         if name == "fdiv":
             self.emit("if _b == 0.0:")
             self.emit("    raise _fdiv_zero(tu)")
         self.emit(f"_v = {_FPU_VALUE_EXPR[name]}")
-        if rd % 2:
-            raise _Unfusable("FPU result into odd pair")
-        self.wait_deps(deps)
-        self.pre_yield()
-        self.emit("e = yield e")
-        self.emit(f"_ie, _rt = state.fpu.{unit_attr}(e)")
-        self.emit(f"e = _ie - {execution}")
-        self.stall_to_e()
+        self.reserve_fpu(unit_attr, execution, deps)
         self.retire(execution)
         self.nf += flops
         self.write_double(rd, "_v")
@@ -598,18 +620,14 @@ class _BlockEmitter:
         self.write_t(rd1, "_rt")
 
     def emit_spr(self, index: int, inst: Instruction) -> None:
-        name = inst.opcode.name
-        if name == "mtspr":
-            self.wait_deps((inst.ra,))
+        if inst.opcode.name == "mtspr":
+            self.await_issue((inst.ra,))
             a = self.rv(inst.ra)
-            self.pre_yield()
-            self.emit("e = yield e")
             self.stall_to_e()
             self.retire(1)
             self.emit(f"state.spr.write(tu.tid, {a} & 255)")
         else:  # mfspr
-            self.pre_yield()
-            self.emit("e = yield it")
+            self.await_issue(())
             self.stall_to_e()
             self.retire(1)
             self.write_r(inst.rd, "state.spr.read_or() & 4294967295")
@@ -623,26 +641,13 @@ class _BlockEmitter:
         self.emit("return")
 
     # -- driver --------------------------------------------------------
-    def prologue(self, fn_name: str) -> list[str]:
-        """Opening lines of the generated ``def`` (overridable)."""
-        return [
-            f"def {fn_name}(state):",
-            "    tu = state.tu",
-            "    _R = state.regs._regs",
-            "    _T = state.ready",
-            "    it = tu.issue_time",
-            "    nst = 0",
-            "    nse = 0",
-        ]
-
     def compile_source(self, fn_name: str) -> str:
-        """The fused ``def`` for this block, or raises ``_Unfusable``."""
+        """The generated ``def`` of this block."""
         instructions = self.program.instructions
         self.lines = self.prologue(fn_name)
         for index in range(self.start, self.end):
             inst = instructions[index]
             unit = inst.opcode.unit
-            name = inst.opcode.name
             if unit in ALU_UNITS:
                 self.emit_alu(inst)
             elif unit is UnitClass.BRANCH:
@@ -656,90 +661,13 @@ class _BlockEmitter:
                 self.emit_fpu(index, inst)
             elif unit is UnitClass.SPR:
                 self.emit_spr(index, inst)
-            elif name == "halt":
+            elif inst.opcode.name == "halt":
                 self.emit_halt()
                 return "\n".join(self.lines) + "\n"
-            elif unit is UnitClass.SYSTEM:
-                self.emit_system(inst)
             else:
-                raise _Unfusable(f"unit {unit} has no emitter")
+                self.emit_system(inst)
         self.exit_to(str(self.end))
         return "\n".join(self.lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# The block table
-# ---------------------------------------------------------------------------
-class BlockTable:
-    """Compiled dispatch table of one program under one latency table.
-
-    ``entries`` parallels the instruction list: a block leader's entry
-    is its fused closure; every other index keeps its per-instruction
-    handler so arbitrary ``jr`` targets stay executable. Entries are
-    ``(is_generator, fn)`` exactly like the threaded-code table, so the
-    interpreter's dispatch loop is table-agnostic.
-    """
-
-    __slots__ = ("entries", "n_blocks", "n_fused", "lengths", "source")
-
-    def __init__(self, entries: list, n_blocks: int, n_fused: int,
-                 lengths: list[int], source: str) -> None:
-        self.entries = entries
-        self.n_blocks = n_blocks
-        self.n_fused = n_fused
-        #: Instruction count of each fused block (telemetry histogram).
-        self.lengths = lengths
-        #: Generated Python source of every fused block (debugging aid).
-        self.source = source
-
-
-def compile_blocks(program: Program, lat, window_bytes: int,
-                   handlers: list) -> BlockTable:
-    """Compile *program*'s basic blocks against latency table *lat*.
-
-    *handlers* is the per-instruction threaded-code table (the fallback
-    for non-leader entries and unfusable blocks). The result is cached
-    on the program keyed by ``(lat identity, window_bytes)`` — see
-    :meth:`Program` — so sharing a program across threads or re-running
-    it compiles nothing.
-    """
-    cache = program._blocks
-    if cache is None:
-        cache = program._blocks = {}
-    key = (id(lat), window_bytes)
-    cached = cache.get(key)
-    if cached is not None and cached[0] is lat:
-        return cached[1]
-
-    spans = block_spans(program, window_bytes)
-    entries = list(handlers)
-    pieces: list[str] = []
-    fused: list[tuple[int, str, bool]] = []
-    lengths: list[int] = []
-    for start, end in spans:
-        if end - start == 1 and not _is_terminator(
-                program.instructions[start]):
-            # A lone straight-line instruction cut off by a leader or a
-            # window boundary: the fused form would be the handler.
-            continue
-        emitter = _BlockEmitter(program, lat, start, end)
-        try:
-            source = emitter.compile_source(f"_blk_{start}")
-        except _Unfusable:
-            continue
-        pieces.append(source)
-        fused.append((start, f"_blk_{start}", emitter.is_gen))
-        lengths.append(end - start)
-    module = "\n".join(pieces)
-    namespace = dict(_NAMESPACE)
-    if module:
-        code = compile(module, f"<blocks:{program.base:#x}>", "exec")
-        exec(code, namespace)
-    for start, fn_name, is_gen in fused:
-        entries[start] = (is_gen, namespace[fn_name])
-    table = BlockTable(entries, len(spans), len(fused), lengths, module)
-    cache[key] = (lat, table)
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -767,8 +695,9 @@ class _FunctionalEmitter(_BlockEmitter):
 
     Same architectural semantics as the timed emitter — register
     values, memory data, instruction/load/store/flop counters, faults —
-    with every clock, scoreboard, cache, FPU-pipe, and scheduler
-    interaction deleted: the closures are plain calls with no yields.
+    with every clock, scoreboard, FPU-pipe, and scheduler hook emptied:
+    the closures are plain calls with no yields. Memory accesses warm
+    the caches instead of timing them.
 
     Double pairs are additionally cached as *float* locals (``d12``) so
     hot FP loops never round-trip through the packed u32 representation.
@@ -777,8 +706,12 @@ class _FunctionalEmitter(_BlockEmitter):
     access of the same registers stays exact.
     """
 
-    def __init__(self, program: Program, start: int, end: int) -> None:
-        super().__init__(program, _FUNCTIONAL_LAT, start, end)
+    #: The functional clock does not advance; the last detailed issue
+    #: time is the best-known finish time of a halting thread.
+    CLOCK = "tu.issue_time"
+
+    def __init__(self, program: Program, lat, start: int, end: int) -> None:
+        super().__init__(program, lat, start, end)
         self.local_d: set[int] = set()
         self.dirty_d: set[int] = set()
 
@@ -810,11 +743,7 @@ class _FunctionalEmitter(_BlockEmitter):
         super().write_r(reg, expr)
 
     def read_double(self, reg: int) -> str:
-        if reg % 2:
-            # The register file raises exactly like the timed handlers;
-            # embedding the call keeps the fault without unfusing.
-            return f"state.regs.read_double({reg})"
-        if reg == 0:
+        if reg % 2 or reg == 0:
             return super().read_double(reg)
         if reg not in self.local_d:
             lo, hi = self.rv(reg), self.rv(reg + 1)
@@ -824,21 +753,21 @@ class _FunctionalEmitter(_BlockEmitter):
         return f"d{reg}"
 
     def write_double(self, reg: int, expr: str) -> None:
-        if reg % 2:
-            self.emit(f"state.regs.write_double({reg}, {expr})")
-            return
-        if reg == 0:
-            # Pair-0 writes are discarded whole, like the timed emitter.
+        if reg % 2 or reg == 0:
+            super().write_double(reg, expr)
             return
         self._drop_int_view(reg)
         self.emit(f"d{reg} = {expr}")
         self.local_d.add(reg)
         self.dirty_d.add(reg)
 
-    # -- timing machinery deleted ---------------------------------------
-    def tv(self, reg: int) -> str:  # pragma: no cover - never reached
-        raise AssertionError("functional codegen has no scoreboard")
+    def flush_registers(self) -> None:
+        super().flush_registers()
+        for reg in sorted(self.dirty_d):
+            self.emit(f"_R[{reg}], _R[{reg + 1}] = _up_II(_pk_d(d{reg}))")
+        self.dirty_d.clear()
 
+    # -- timing hooks, emptied -------------------------------------------
     def write_t(self, reg: int, expr: str) -> None:
         pass
 
@@ -848,11 +777,42 @@ class _FunctionalEmitter(_BlockEmitter):
     def stall_to_e(self) -> None:
         pass
 
-    def pre_yield(self) -> None:
-        pass
-
     def retire(self, execution: int) -> None:
         self.ni += 1
+
+    def await_issue(self, deps: tuple[int, ...]) -> None:
+        pass
+
+    def reserve_fpu(self, unit_attr: str, execution: int,
+                    deps: tuple[int, ...]) -> None:
+        pass
+
+    def fence(self) -> None:
+        # The fence orders only the scoreboard, which functional mode
+        # does not model; architecturally sync is a nop.
+        pass
+
+    def access_memory(self, index: int, ea: str, access_mask: int,
+                      access_size: int, is_store: bool) -> None:
+        # Functional warming: same aligned line-classified address the
+        # timed path would access, minus all timing (see
+        # MemorySubsystem.warm_access). Memoized per static op on the
+        # line-aligned address: a unit-stride stream touches one line
+        # for several consecutive accesses and only the first needs
+        # tag/LRU work. A static op is always a load or always a
+        # store, so the store flag needs no key space.
+        self.emit(f"_k = {ea} & 4294967232")
+        self.emit(f"if _wmg({index}) != _k:")
+        self.emit(f"    _wm[{index}] = _k")
+        self.emit(f"    _warm(_qid, {ea} & {access_mask}, {is_store})")
+
+    def atomic_rmw(self, op: str, a: str, b: str) -> None:
+        self.emit(f"_ph = {a} & 16777215")
+        self.emit(f"_warm(_qid, {a} & 4294967292, True)")
+        self.emit("_old = state.backing.load_u32(_ph)")
+        new = {"add": f"(_old + {b}) & 4294967295", "swap": b,
+               "and": f"_old & {b}", "or": f"_old | {b}"}[op]
+        self.emit(f"state.backing.store_u32(_ph, {new})")
 
     def flush(self) -> None:
         self.emit("c = tu.counters")
@@ -865,12 +825,6 @@ class _FunctionalEmitter(_BlockEmitter):
         if self.nf:
             self.emit(f"c.flops += {self.nf}")
 
-    def flush_registers(self) -> None:
-        super().flush_registers()
-        for reg in sorted(self.dirty_d):
-            self.emit(f"_R[{reg}], _R[{reg + 1}] = _up_II(_pk_d(d{reg}))")
-        self.dirty_d.clear()
-
     def prologue(self, fn_name: str) -> list[str]:
         return [
             f"def {fn_name}(state):",
@@ -882,238 +836,94 @@ class _FunctionalEmitter(_BlockEmitter):
             "    _qid = tu.quad_id",
         ]
 
-    # -- per-unit emitters ----------------------------------------------
-    def emit_system(self, inst: Instruction) -> None:
-        name = inst.opcode.name
-        if name == "nop":
-            self.retire(1)
-            return
-        if name == "tid":
-            self.retire(1)
-            self.write_r(inst.rd, "tu.tid")
-            return
-        if name == "sync":
-            # The fence orders only the scoreboard, which functional
-            # mode does not model; architecturally it is a nop.
-            self.retire(1)
-            return
-        raise _Unfusable(f"system op {name}")
 
-    def emit_halt(self) -> None:
-        self.retire(1)
-        self.flush()
-        self.flush_registers()
-        # The functional clock does not advance; the last detailed
-        # issue time is the best-known finish time for this thread.
-        self.emit("c.finish_time = tu.issue_time")
-        self.emit("state.halted = True")
-        self.emit("return")
+# ---------------------------------------------------------------------------
+# The dispatch table
+# ---------------------------------------------------------------------------
+class BlockTable:
+    """Compiled dispatch table of one program under one latency table.
 
-    def emit_memory(self, index: int, inst: Instruction) -> None:
-        name = inst.opcode.name
-        size = MEM_SIZES[name]
-        is_store = inst.opcode.unit is UnitClass.STORE
-        align_mask = ~(size - 1) if size >= 4 else ~3
-        rd = inst.rd
-        ea = self.rv(inst.ra)
-        if inst.imm:
-            self.emit(f"_ea = ({ea} + ({inst.imm})) & 4294967295")
-            ea = "_ea"
-        self.emit(f"_ph = {ea} & 16777215")
-        # Functional warming: same aligned line-classified address the
-        # timed path would access, minus all timing (see
-        # MemorySubsystem.warm_access). Memoized per static op on the
-        # line-aligned address: a unit-stride stream touches one line
-        # for several consecutive accesses and only the first needs
-        # tag/LRU work. A static op is always a load or always a
-        # store, so the store flag needs no key space.
-        access_mask = 0xFF000000 | (0xFFFFFF & align_mask)
-        self.emit(f"_k = {ea} & 4294967232")
-        self.emit(f"if _wmg({index}) != _k:")
-        self.emit(f"    _wm[{index}] = _k")
-        self.emit(f"    _warm(_qid, {ea} & {access_mask}, {is_store})")
-        self.retire(1)
-        if is_store:
-            self.ns += 1
-            if name == "sd":
-                self.emit(
-                    f"state.backing.store_f64(_ph, {self.read_double(rd)})"
-                )
-            elif name == "sw":
-                self.emit(f"state.backing.store_u32(_ph, {self.rv(rd)})")
-            else:
-                self.emit("_wb = _ph - _ph % 4")
-                self.emit(
-                    "_dat = bytearray(state.backing.read_block(_wb, 4))"
-                )
-                if name == "sh":
-                    self.emit(
-                        "_dat[_ph % 4:_ph % 4 + 2] = "
-                        f"_pk_H({self.rv(rd)} & 65535)"
-                    )
-                else:  # sb
-                    self.emit(f"_dat[_ph % 4] = {self.rv(rd)} & 255")
-                self.emit("state.backing.write_block(_wb, bytes(_dat))")
-        else:
-            self.nl += 1
-            if name == "ld":
-                self.write_double(rd, "state.backing.load_f64(_ph)")
-            elif name == "lw":
-                self.write_r(rd, "state.backing.load_u32(_ph)")
-            else:  # lhu / lbu
-                self.write_r(
-                    rd,
-                    f"_ifb(state.backing.read_block(_ph, {size}), 'little')",
-                )
-
-    def emit_atomic(self, index: int, inst: Instruction) -> None:
-        op = _AMO_OPS[inst.opcode.name]
-        a, b = self.rv(inst.ra), self.rv(inst.rb)
-        self.emit(f"_ph = {a} & 16777215")
-        self.emit(f"_warm(_qid, {a} & 4294967292, True)")
-        self.emit("_old = state.backing.load_u32(_ph)")
-        if op == "add":
-            self.emit(
-                f"state.backing.store_u32(_ph, (_old + {b}) & 4294967295)"
-            )
-        elif op == "swap":
-            self.emit(f"state.backing.store_u32(_ph, {b})")
-        elif op == "and":
-            self.emit(f"state.backing.store_u32(_ph, _old & {b})")
-        else:  # or
-            self.emit(f"state.backing.store_u32(_ph, _old | {b})")
-        self.retire(1)
-        self.nl += 1
-        self.ns += 1
-        self.write_r(inst.rd, "_old")
-
-    def emit_fpu(self, index: int, inst: Instruction) -> None:
-        name = inst.opcode.name
-        ra, rb, rd = inst.ra, inst.rb, inst.rd
-        if name == "cvtif":
-            a = self.rv(ra)
-            self.retire(1)
-            self.nf += 1
-            self.write_double(rd, f"float({_sx(a)})")
-            return
-        if name == "cvtfi":
-            src = self.read_double(ra)
-            self.retire(1)
-            self.nf += 1
-            self.write_r(rd, f"int({src}) & 4294967295")
-            return
-        if name in ("fcmplt", "fcmpeq"):
-            self.emit(f"_a = {self.read_double(ra)}")
-            b_expr = self.read_double(rb) if rb % 2 == 0 else "0.0"
-            self.emit(f"_b = {b_expr}")
-            cmp = "<" if name == "fcmplt" else "=="
-            self.retire(1)
-            self.nf += 1
-            self.write_r(rd, f"1 if _a {cmp} _b else 0")
-            return
-        flops = _FPU_UNIT[name][1]
-        self.emit(f"_a = {self.read_double(ra)}")
-        b_expr = self.read_double(rb) if rb % 2 == 0 else "0.0"
-        self.emit(f"_b = {b_expr}")
-        if name in ("fmadd", "fmsub"):
-            self.emit(f"_d = {self.read_double(rd)}")
-        if name == "fdiv":
-            self.emit("if _b == 0.0:")
-            self.emit("    raise _fdiv_zero(tu)")
-        self.retire(1)
-        self.nf += flops
-        self.write_double(rd, _FPU_VALUE_EXPR[name])
-
-    def emit_spr(self, index: int, inst: Instruction) -> None:
-        if inst.opcode.name == "mtspr":
-            a = self.rv(inst.ra)
-            self.retire(1)
-            self.emit(f"state.spr.write(tu.tid, {a} & 255)")
-        else:  # mfspr
-            self.retire(1)
-            self.write_r(inst.rd, "state.spr.read_or() & 4294967295")
-
-
-def _functional_fallback(index: int, reason: str):
-    def _unsupported(state):
-        raise ExecutionError(
-            f"functional fast-forward cannot execute instruction "
-            f"{index}: {reason}"
-        )
-    return _unsupported
-
-
-class FunctionalTable:
-    """Timing-free dispatch table of one program.
-
-    ``entries`` parallels the instruction list with plain closures
-    ``fn(state)`` — no generators, no ``(is_gen, fn)`` tagging — one
-    fused closure per multi-instruction block leader and a
-    single-instruction closure everywhere else, so ``jr`` into block
-    middles executes exactly like the timed tables. The table is
-    latency-independent (timing never enters the generated code) and
-    cached directly on ``Program._functional``.
+    ``entries`` parallels the instruction list: a fused block's leader
+    holds the fused closure, every other index its 1-instruction block.
+    Timed entries are ``(is_generator, fn)`` — generator closures yield
+    to the scheduler — and functional entries are plain ``fn(state)``.
     """
 
     __slots__ = ("entries", "n_fused", "lengths", "source")
 
-    def __init__(self, entries: list, n_fused: int,
-                 lengths: list[int], source: str) -> None:
+    def __init__(self, entries: list, lengths: list[int],
+                 source: str) -> None:
         self.entries = entries
-        self.n_fused = n_fused
+        #: Number of fused (multi-instruction) blocks.
+        self.n_fused = len(lengths)
+        #: Instruction count of each fused block (telemetry histogram).
         self.lengths = lengths
+        #: The generated Python module (debugging aid).
         self.source = source
 
 
-def compile_functional(program: Program) -> FunctionalTable:
-    """Compile *program*'s functional (timing-free) dispatch table.
+def compile_blocks(program: Program, lat,
+                   window_bytes: int | None = None) -> BlockTable:
+    """*program*'s dispatch table under latency table *lat* (cached).
 
-    Every index gets a single-instruction closure; multi-instruction
-    basic blocks additionally fuse into one closure installed at the
-    leader. An instruction the functional generator cannot reproduce
-    gets a closure that raises ``ExecutionError`` on first dispatch —
-    fast-forward has no timed fallback to hide behind.
+    Without *window_bytes* every index gets a 1-instruction block: the
+    per-instruction table. With it (the PIB window), every
+    multi-instruction basic block fuses into one closure installed at
+    its leader, and every other index keeps its 1-instruction block.
+    All closures come from one generated module. The functional
+    stand-in table ``_FUNCTIONAL_LAT`` (see :func:`compile_functional`)
+    selects the timing-free emitter and plain ``fn(state)`` entries.
+
+    The result is cached on the program keyed by ``(lat identity,
+    window_bytes)`` — the cache value keeps *lat* alive, so the id
+    cannot be recycled — which means sharing a program across threads,
+    re-running it, or alternating between two chip configs compiles
+    nothing.
     """
-    cached = program._functional
-    if cached is not None:
-        return cached
+    cache = program._tables
+    if cache is None:
+        cache = program._tables = {}
+    key = (id(lat), window_bytes)
+    cached = cache.get(key)
+    if cached is not None and cached[0] is lat:
+        return cached[1]
 
+    functional = lat is _FUNCTIONAL_LAT
+    emitter_cls = _FunctionalEmitter if functional else _BlockEmitter
     n = len(program.instructions)
+    fused = [] if window_bytes is None else [
+        (start, end) for start, end in block_spans(program, window_bytes)
+        if end - start > 1
+    ]
+    # A fused block's leader never dispatches its 1-instruction block.
+    leaders = {start for start, _ in fused}
+    spans = [(i, i + 1) for i in range(n) if i not in leaders] + fused
     pieces: list[str] = []
-    singles: list[tuple[int, str | None, str | None]] = []
-    for i in range(n):
-        emitter = _FunctionalEmitter(program, i, i + 1)
-        try:
-            source = emitter.compile_source(f"_fi_{i}")
-        except _Unfusable as exc:
-            singles.append((i, None, str(exc)))
-            continue
-        pieces.append(source)
-        singles.append((i, f"_fi_{i}", None))
-    fused: list[tuple[int, str]] = []
-    lengths: list[int] = []
-    for start, end in block_spans(program, _FUNCTIONAL_WINDOW):
-        if end - start <= 1:
-            continue
-        emitter = _FunctionalEmitter(program, start, end)
-        try:
-            source = emitter.compile_source(f"_fb_{start}")
-        except _Unfusable:
-            continue
-        pieces.append(source)
-        fused.append((start, f"_fb_{start}"))
-        lengths.append(end - start)
+    built: list[tuple[int, str, bool]] = []
+    for start, end in spans:
+        emitter = emitter_cls(program, lat, start, end)
+        fn_name = f"_blk_{start}_{end}"
+        pieces.append(emitter.compile_source(fn_name))
+        built.append((start, fn_name, emitter.is_gen))
     module = "\n".join(pieces)
     namespace = dict(_NAMESPACE)
     if module:
-        code = compile(module, f"<functional:{program.base:#x}>", "exec")
+        code = compile(module, f"<blocks:{program.base:#x}>", "exec")
         exec(code, namespace)
     entries: list = [None] * n
-    for i, fn_name, reason in singles:
-        entries[i] = (namespace[fn_name] if fn_name is not None
-                      else _functional_fallback(i, reason))
-    for start, fn_name in fused:
-        entries[start] = namespace[fn_name]
-    table = FunctionalTable(entries, len(fused), lengths, module)
-    program._functional = table
+    for start, fn_name, is_gen in built:
+        fn = namespace[fn_name]
+        entries[start] = fn if functional else (is_gen, fn)
+    table = BlockTable(entries, [end - start for start, end in fused],
+                       module)
+    cache[key] = (lat, table)
     return table
+
+
+def compile_functional(program: Program) -> BlockTable:
+    """*program*'s functional (timing-free) dispatch table (cached).
+
+    Fused at every basic block; plain ``fn(state)`` entries that are
+    architecturally exact with no clock and no scheduler.
+    """
+    return compile_blocks(program, _FUNCTIONAL_LAT, _FUNCTIONAL_WINDOW)

@@ -12,28 +12,25 @@ Each thread is a scheduler process executing its program in order:
 * **complete** — possibly out of order: the destination register's ready
   time is set to issue + execution + latency per Table 2.
 
-Dispatch is **threaded code**: the first time a program runs, every
-static instruction is compiled once into a small closure specialized on
-its decoded fields (operand registers, immediate, branch target, latency
-row — all resolved at compile time), and the fetch/issue/complete loop
-makes one direct call per dynamic instruction. Handlers for thread-
-private units (ALU, branches, system ops) are plain functions; handlers
-that touch shared hardware (memory, FPU, SPR) are generators that
-synchronize with the global event order before reserving anything. The
-compiled table is cached on the :class:`Program` keyed by the latency
-table, so re-running or sharing a program across threads compiles
-nothing.
+This module is the dispatch loop only. What each instruction does and
+costs is defined once, in :mod:`repro.isa.blocks`, whose code generator
+compiles a program into a table of closures — cached on the
+:class:`Program` keyed by the latency table, so re-running or sharing a
+program across threads compiles nothing. The loop fetches, then makes
+one call per table entry:
 
-On top of the per-instruction table sits **block dispatch**
-(:mod:`repro.isa.blocks`): straight-line runs compile into one fused
-closure per basic block, so the dispatch loop runs once per block and
-register/scoreboard traffic collapses into locals. Cycle counts are
-identical by construction — generator instructions keep their exact
-yield points — and the per-instruction table remains the reference
-path: pass ``Interpreter(..., block_dispatch=False)``, set
-``CYCLOPS_NO_SUPERINST=1``, or attach the coherence sanitizer (its
-PC-accurate fault reporting needs per-instruction ``state.pc``
-updates) and dispatch falls back transparently. See
+* with **block dispatch** (the default) the entry at a basic-block
+  leader runs the whole block as one fused closure;
+* with ``Interpreter(..., block_dispatch=False)``, or on a chip carrying
+  the coherence sanitizer, every entry is a 1-instruction block. Each
+  writes ``state.pc`` only at exit, so during its memory access
+  ``state.pc`` names the instruction itself — the sanitizer's
+  PC-accurate fault reports rely on that.
+
+Cycle counts are identical either way. Closures for thread-private
+units (ALU, branches, system ops) are plain functions; closures that
+touch shared hardware (memory, FPU, SPR) are generators that
+synchronize with the global event order before reserving anything. See
 ``docs/performance.md``.
 
 The same :class:`~repro.core.chip.Chip` hardware backs this layer and
@@ -43,9 +40,7 @@ assembly validate the timing model the workloads run on.
 
 from __future__ import annotations
 
-import math
 import os
-import struct
 
 from repro.core.chip import Chip
 from repro.core.icache import PrefetchBuffer
@@ -53,12 +48,8 @@ from repro.core.thread_unit import ThreadUnit
 from repro.engine.scheduler import Scheduler
 from repro.errors import ConfigError, ExecutionError
 from repro.isa.blocks import compile_blocks, compile_functional
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import ALU_UNITS, FPU_UNITS, MEM_SIZES, UnitClass
 from repro.isa.program import Program
-from repro.isa.registers import REG_LINK, RegisterFile
-
-_U32 = 0xFFFFFFFF
+from repro.isa.registers import RegisterFile
 
 #: Mirrors ``repro.sampling.SAMPLE_ENV`` as a literal so the default
 #: (exact) path never imports the sampling package.
@@ -69,16 +60,12 @@ class ThreadExit(Exception):
     """Raised internally when a thread executes ``halt``."""
 
 
-def _signed(value: int) -> int:
-    return value - (1 << 32) if value & 0x80000000 else value
-
-
 class _ThreadState:
     """Interpreter-side state of one hardware thread.
 
-    Carries direct references to the shared hardware a handler touches
+    Carries direct references to the shared hardware a closure touches
     (memory, backing store, this quad's FPU, the barrier SPR file) so
-    compiled handlers reach them in one attribute load.
+    compiled closures reach them in one attribute load.
     """
 
     __slots__ = ("tu", "regs", "ready", "pc", "pib", "program", "halted",
@@ -96,10 +83,10 @@ class _ThreadState:
         self.halted = False
         memory = chip.memory
         # With a coherence sanitizer attached, route this thread's
-        # accesses through an observing facade. Handlers look ``memory``
-        # up per access and set ``pc`` to the next instruction only on
-        # completion, so the facade can report the faulting instruction
-        # address without any handler change.
+        # accesses through an observing facade. Closures look ``memory``
+        # up per access, and a sanitized chip runs 1-instruction blocks,
+        # which set ``pc`` to the next instruction only on exit, so the
+        # facade can report the faulting instruction address.
         sanitizer = memory.sanitizer
         if sanitizer is not None:
             base = program.base
@@ -112,8 +99,9 @@ class _ThreadState:
         self.fpu = chip.fpu_of(tu.tid)
         self.spr = chip.barrier_spr
         #: Functional-warming memo: static op index -> last line-
-        #: aligned address it warmed (see blocks emit_memory). Only
-        #: sampled runs populate it; exact runs never touch it.
+        #: aligned address it warmed (see access_memory of the blocks
+        #: module's functional emitter). Only sampled runs populate it;
+        #: exact runs never touch it.
         self.warm_memo: dict[int, int] = {}
         #: What functional closures call on a line transition — the
         #: real warm_access near a detailed window, a no-op in the far
@@ -124,11 +112,10 @@ class _ThreadState:
 class Interpreter:
     """Runs assembled programs on a chip with full timing.
 
-    ``block_dispatch`` selects basic-block superinstructions (the
-    default). It degrades to per-instruction threaded code when the
-    caller passes ``False``, when ``CYCLOPS_NO_SUPERINST=1`` is set, or
-    when the chip carries a coherence sanitizer — whose ``pc_of``
-    facade needs ``state.pc`` advanced at every instruction. Cycle
+    ``block_dispatch`` selects fused basic blocks (the default). It
+    degrades to 1-instruction blocks when the caller passes ``False``
+    or when the chip carries a coherence sanitizer — whose ``pc_of``
+    facade needs ``state.pc`` to name the instruction in flight. Cycle
     counts are identical either way.
     """
 
@@ -138,9 +125,7 @@ class Interpreter:
         self.scheduler = Scheduler()
         self.model_fetch = model_fetch
         self.block_dispatch = (
-            block_dispatch
-            and os.environ.get("CYCLOPS_NO_SUPERINST", "") != "1"
-            and chip.memory.sanitizer is None
+            block_dispatch and chip.memory.sanitizer is None
         )
         self.states: dict[int, _ThreadState] = {}
         #: Block tables in use, block dispatches since the last publish,
@@ -280,24 +265,22 @@ class Interpreter:
     def _dispatch_table(self, state: _ThreadState) -> tuple[list, int]:
         """``(entries, n)`` dispatch table for *state*'s program.
 
-        Threaded-code handlers, or the block-superinstruction table
-        overlaid on them when block dispatch is active. Shared by the
-        exact thread process and the sampled bounded windows.
+        Fused blocks when block dispatch is active, 1-instruction blocks
+        otherwise. Shared by the exact thread process and the sampled
+        bounded windows.
         """
-        program = state.program
-        lat = self.chip.config.latency
-        handlers = compile_program(program, lat)
-        n = len(handlers)
+        window = None
         if self.block_dispatch:
             # Blocks never span a PIB window (a formation rule), so the
             # per-iteration fetch check in the dispatch loops stays
             # exact: entering a fused block can fetch at most once, at
             # its first address.
-            window = state.tu.config.pib_entries * state.tu.config.word_bytes
-            table = compile_blocks(program, lat, window, handlers)
-            self._block_tables[id(table)] = table
-            return table.entries, n
-        return handlers, n
+            config = state.tu.config
+            window = config.pib_entries * config.word_bytes
+        table = compile_blocks(state.program, self.chip.config.latency,
+                               window)
+        self._block_tables[id(table)] = table
+        return table.entries, len(table.entries)
 
     def _thread_proc(self, state: _ThreadState):
         tu = state.tu
@@ -325,11 +308,11 @@ class Interpreter:
                     tu.issue_at(ready)
                     pib.refill(address)
             dispatched += 1
-            is_gen, handler = entries[pc]
+            is_gen, block = entries[pc]
             if is_gen:
-                yield from handler(state)
+                yield from block(state)
             else:
-                handler(state)
+                block(state)
         self._block_dispatched += dispatched
         # Sync the process clock to the architectural finish time, so
         # run() reports real cycles even for programs that never touch
@@ -379,11 +362,11 @@ class Interpreter:
                     tu.issue_at(ready)
                     pib.refill(address)
             dispatched += 1
-            is_gen, handler = entries[pc]
+            is_gen, block = entries[pc]
             if is_gen:
-                yield from handler(state)
+                yield from block(state)
             else:
-                handler(state)
+                block(state)
         self._block_dispatched += dispatched
         # Sync the process clock to the architectural one (same reason
         # as _thread_proc) *before* recording, so the unit's end clock
@@ -417,516 +400,3 @@ class Interpreter:
                     f"thread {tid}: pc {pc} outside program"
                 )
             entries[pc](state)
-
-
-# ---------------------------------------------------------------------------
-# Threaded-code compilation
-#
-# Each static instruction compiles once into a handler closure over its
-# decoded fields; dynamic execution is one call, with no opcode
-# comparisons and no per-execution latency-table lookups. A handler
-# entry is ``(is_generator, fn)``.
-# ---------------------------------------------------------------------------
-def compile_program(program: Program, lat) -> list:
-    """The program's handler table for latency table *lat* (cached).
-
-    The cache is a dict keyed on the latency table's identity (each
-    entry keeps its table alive, so ids cannot be recycled underneath
-    it): a program alternating between two chip configs — an ablation
-    sweep, say — hits the cache on both instead of recompiling on every
-    switch.
-    """
-    cache = program._threaded
-    if cache is None:
-        cache = program._threaded = {}
-    cached = cache.get(id(lat))
-    if cached is not None and cached[0] is lat:
-        return cached[1]
-    handlers = [
-        _compile_instruction(index, inst, program, lat)
-        for index, inst in enumerate(program.instructions)
-    ]
-    cache[id(lat)] = (lat, handlers)
-    return handlers
-
-
-def _compile_instruction(index: int, inst: Instruction, program: Program,
-                         lat):
-    unit = inst.opcode.unit
-    if unit in ALU_UNITS:
-        return False, _compile_alu(index, inst, lat)
-    if unit is UnitClass.BRANCH:
-        return False, _compile_branch(index, inst, program, lat)
-    if unit is UnitClass.ATOMIC:
-        return True, _compile_atomic(index, inst)
-    if unit in (UnitClass.LOAD, UnitClass.STORE):
-        return True, _compile_memory(index, inst)
-    if unit in FPU_UNITS:
-        return True, _compile_fpu(index, inst, lat)
-    if unit is UnitClass.SPR:
-        return True, _compile_spr(index, inst)
-    return False, _compile_system(index, inst)
-
-
-# --- fixed point -----------------------------------------------------------
-def _div_by_zero(tu: ThreadUnit) -> ExecutionError:
-    return ExecutionError(f"thread {tu.tid}: divide by zero")
-
-
-def _div(a, b, imm, tu):
-    if b == 0:
-        raise _div_by_zero(tu)
-    return int(_signed(a) / _signed(b))
-
-
-def _divu(a, b, imm, tu):
-    if b == 0:
-        raise _div_by_zero(tu)
-    return a // b
-
-
-def _rem(a, b, imm, tu):
-    if b == 0:
-        raise _div_by_zero(tu)
-    return int(math.fmod(_signed(a), _signed(b)))
-
-
-#: value(a, b, imm, tu) per ALU mnemonic (a, b are the u32 register
-#: values; masking to 32 bits happens at writeback).
-_ALU_VALUE = {
-    "add": lambda a, b, imm, tu: a + b,
-    "sub": lambda a, b, imm, tu: a - b,
-    "and": lambda a, b, imm, tu: a & b,
-    "or": lambda a, b, imm, tu: a | b,
-    "xor": lambda a, b, imm, tu: a ^ b,
-    "nor": lambda a, b, imm, tu: ~(a | b),
-    "slt": lambda a, b, imm, tu: int(_signed(a) < _signed(b)),
-    "sltu": lambda a, b, imm, tu: int(a < b),
-    "sll": lambda a, b, imm, tu: a << (b & 31),
-    "srl": lambda a, b, imm, tu: a >> (b & 31),
-    "sra": lambda a, b, imm, tu: _signed(a) >> (b & 31),
-    "addi": lambda a, b, imm, tu: a + imm,
-    "andi": lambda a, b, imm, tu: a & (imm & _U32),
-    "ori": lambda a, b, imm, tu: a | (imm & _U32),
-    "xori": lambda a, b, imm, tu: a ^ (imm & _U32),
-    "slti": lambda a, b, imm, tu: int(_signed(a) < imm),
-    "sltiu": lambda a, b, imm, tu: int(a < (imm & _U32)),
-    "slli": lambda a, b, imm, tu: a << (imm & 31),
-    "srli": lambda a, b, imm, tu: a >> (imm & 31),
-    "srai": lambda a, b, imm, tu: _signed(a) >> (imm & 31),
-    "lui": lambda a, b, imm, tu: (imm & 0x1FFF) << 19,
-    "mul": lambda a, b, imm, tu: (_signed(a) * _signed(b)) & _U32,
-    "mulhu": lambda a, b, imm, tu: (a * b) >> 32,
-    "div": _div,
-    "divu": _divu,
-    "rem": _rem,
-}
-
-
-def _compile_alu(index: int, inst: Instruction, lat):
-    value_fn = _ALU_VALUE[inst.opcode.name]
-    row = getattr(lat, inst.opcode.latency_row)
-    ra, rb, rd, imm = inst.ra, inst.rb, inst.rd, inst.imm
-    next_pc = index + 1
-
-    def run(state: _ThreadState) -> None:
-        regs = state.regs
-        tu = state.tu
-        value = value_fn(regs.read(ra), regs.read(rb), imm, tu)
-        ready = state.ready
-        earliest = tu.issue_time
-        t = ready[ra]
-        if t > earliest:
-            earliest = t
-        t = ready[rb]
-        if t > earliest:
-            earliest = t
-        regs.write(rd, value & _U32)
-        ready[rd] = tu.execute_local(earliest, row)
-        state.pc = next_pc
-
-    return run
-
-
-# --- branches --------------------------------------------------------------
-_BRANCH_COND = {
-    "beq": lambda a, b: a == b,
-    "bne": lambda a, b: a != b,
-    "blt": lambda a, b: _signed(a) < _signed(b),
-    "bge": lambda a, b: _signed(a) >= _signed(b),
-    "bltu": lambda a, b: a < b,
-    "bgeu": lambda a, b: a >= b,
-}
-
-
-def _compile_branch(index: int, inst: Instruction, program: Program, lat):
-    name = inst.opcode.name
-    row = lat.branch
-    ra, rb, rd = inst.ra, inst.rb, inst.rd
-    next_pc = index + 1
-
-    cond = _BRANCH_COND.get(name)
-    if cond is not None:
-        taken_pc = index + 1 + inst.imm
-
-        def run(state: _ThreadState) -> None:
-            regs = state.regs
-            tu = state.tu
-            ready = state.ready
-            taken = cond(regs.read(ra), regs.read(rb))
-            earliest = tu.issue_time
-            t = ready[ra]
-            if t > earliest:
-                earliest = t
-            t = ready[rb]
-            if t > earliest:
-                earliest = t
-            tu.execute_local(earliest, row)
-            state.pc = taken_pc if taken else next_pc
-
-        return run
-
-    if name == "j":
-        target = inst.imm
-
-        def run(state: _ThreadState) -> None:
-            tu = state.tu
-            tu.execute_local(tu.issue_time, row)
-            state.pc = target
-
-        return run
-
-    if name == "jal":
-        target = inst.imm
-        link_address = program.address_of(index + 1)
-
-        def run(state: _ThreadState) -> None:
-            tu = state.tu
-            state.regs.write(REG_LINK, link_address)
-            earliest = tu.issue_time
-            state.ready[REG_LINK] = earliest + 2
-            tu.execute_local(earliest, row)
-            state.pc = target
-
-        return run
-
-    # jr
-    base = program.base
-
-    def run(state: _ThreadState) -> None:
-        tu = state.tu
-        addr = state.regs.read(rd)
-        earliest = tu.issue_time
-        t = state.ready[rd]
-        if t > earliest:
-            earliest = t
-        tu.execute_local(earliest, row)
-        state.pc = (addr - base) // 4
-
-    return run
-
-
-# --- memory ----------------------------------------------------------------
-_AMO_OPS = {"amoadd": "add", "amoswap": "swap",
-            "amoand": "and", "amoor": "or"}
-
-
-def _compile_atomic(index: int, inst: Instruction):
-    op = _AMO_OPS[inst.opcode.name]
-    ra, rb, rd = inst.ra, inst.rb, inst.rd
-    next_pc = index + 1
-
-    def run(state: _ThreadState):
-        tu = state.tu
-        regs = state.regs
-        ready = state.ready
-        earliest = tu.issue_time
-        t = ready[ra]
-        if t > earliest:
-            earliest = t
-        t = ready[rb]
-        if t > earliest:
-            earliest = t
-        earliest = yield earliest
-        outcome, old = state.memory.atomic_rmw_u32(
-            earliest, tu.quad_id, regs.read(ra), op, regs.read(rb)
-        )
-        tu.issue_at(outcome.issue_end - 1)
-        tu.retire(1)
-        counters = tu.counters
-        counters.loads += 1
-        counters.stores += 1
-        regs.write(rd, old)
-        ready[rd] = outcome.complete
-        state.pc = next_pc
-
-    return run
-
-
-def _compile_memory(index: int, inst: Instruction):
-    name = inst.opcode.name
-    size = MEM_SIZES[name]
-    is_store = inst.opcode.unit is UnitClass.STORE
-    dep_regs = inst.scoreboard_deps()
-    ra, rd, imm = inst.ra, inst.rd, inst.imm
-    # Sub-word accesses are timed as their containing word.
-    align_mask = ~(size - 1) if size >= 4 else ~3
-    access_size = size if size >= 4 else 4
-    next_pc = index + 1
-    rd1 = rd + 1 if rd + 1 < 64 else rd
-
-    def run(state: _ThreadState):
-        tu = state.tu
-        ready = state.ready
-        earliest = tu.issue_time
-        for reg in dep_regs:
-            t = ready[reg]
-            if t > earliest:
-                earliest = t
-        earliest = yield earliest
-        regs = state.regs
-        effective = (regs.read(ra) + imm) & 0xFFFFFFFF
-        physical = effective & 0xFFFFFF
-        outcome = state.memory.access(
-            earliest, tu.quad_id,
-            (effective & 0xFF000000) | (physical & align_mask),
-            access_size, is_store,
-        )
-        tu.issue_at(outcome.issue_end - 1)
-        tu.retire(1)
-        backing = state.backing
-        if is_store:
-            tu.counters.stores += 1
-            if name == "sd":
-                backing.store_f64(physical, regs.read_double(rd))
-            elif name == "sw":
-                backing.store_u32(physical, regs.read(rd))
-            else:
-                word_base = physical - physical % 4
-                data = bytearray(backing.read_block(word_base, 4))
-                offset = physical % 4
-                value = regs.read(rd)
-                if name == "sh":
-                    data[offset:offset + 2] = struct.pack(
-                        "<H", value & 0xFFFF
-                    )
-                else:  # sb
-                    data[offset] = value & 0xFF
-                backing.write_block(word_base, bytes(data))
-        else:
-            tu.counters.loads += 1
-            if name == "ld":
-                regs.write_double(rd, backing.load_f64(physical))
-                complete = outcome.complete
-                ready[rd] = complete
-                ready[rd1] = complete
-            else:
-                if name == "lw":
-                    value = backing.load_u32(physical)
-                else:  # lhu / lbu
-                    raw = backing.read_block(physical, size)
-                    value = int.from_bytes(raw, "little")
-                regs.write(rd, value)
-                ready[rd] = outcome.complete
-        state.pc = next_pc
-
-    return run
-
-
-# --- floating point --------------------------------------------------------
-def _fdiv_value(a, b, d, tu):
-    if b == 0.0:
-        raise ExecutionError(f"thread {tu.tid}: FP divide by zero")
-    return a / b
-
-
-#: value(a, b, d, tu) and the FPU sub-unit attribute plus flop count per
-#: double-precision arithmetic mnemonic (``d`` is rd's current double,
-#: read only for the fused forms).
-_FPU_ARITH = {
-    "fadd": (lambda a, b, d, tu: a + b, "add", 1),
-    "fsub": (lambda a, b, d, tu: a - b, "add", 1),
-    "fmul": (lambda a, b, d, tu: a * b, "multiply", 1),
-    "fdiv": (_fdiv_value, "divide", 1),
-    "fsqrt": (lambda a, b, d, tu: a ** 0.5, "sqrt", 1),
-    "fmadd": (lambda a, b, d, tu: d + a * b, "fma", 2),
-    "fmsub": (lambda a, b, d, tu: d - a * b, "fma", 2),
-    "fneg": (lambda a, b, d, tu: -a, "add", 1),
-    "fabs": (lambda a, b, d, tu: abs(a), "add", 1),
-    "fmov": (lambda a, b, d, tu: a, "add", 1),
-}
-
-
-def _compile_fpu(index: int, inst: Instruction, lat):
-    name = inst.opcode.name
-    ra, rb, rd = inst.ra, inst.rb, inst.rd
-    dep_regs = inst.scoreboard_deps()
-    next_pc = index + 1
-    rd1 = rd + 1 if rd + 1 < 64 else rd
-
-    if name in ("cvtif", "cvtfi"):
-        to_double = name == "cvtif"
-
-        def run(state: _ThreadState):
-            tu = state.tu
-            ready = state.ready
-            earliest = tu.issue_time
-            for reg in dep_regs:
-                t = ready[reg]
-                if t > earliest:
-                    earliest = t
-            earliest = yield earliest
-            issue_end, ready_time = state.fpu.convert(earliest)
-            tu.issue_at(issue_end - 1)
-            tu.retire(1)
-            tu.counters.flops += 1
-            regs = state.regs
-            if to_double:
-                regs.write_double(rd, float(regs.read_signed(ra)))
-                ready[rd] = ready_time
-                ready[rd1] = ready_time
-            else:
-                regs.write(rd, int(regs.read_double(ra)) & _U32)
-                ready[rd] = ready_time
-            state.pc = next_pc
-
-        return run
-
-    if name in ("fcmplt", "fcmpeq"):
-        is_lt = name == "fcmplt"
-        rb_even = rb % 2 == 0
-
-        def run(state: _ThreadState):
-            tu = state.tu
-            ready = state.ready
-            regs = state.regs
-            a = regs.read_double(ra)
-            b = regs.read_double(rb) if rb_even else 0.0
-            result = int(a < b) if is_lt else int(a == b)
-            earliest = tu.issue_time
-            for reg in dep_regs:
-                t = ready[reg]
-                if t > earliest:
-                    earliest = t
-            earliest = yield earliest
-            issue_end, ready_time = state.fpu.add(earliest)
-            tu.issue_at(issue_end - 1)
-            tu.retire(1)
-            tu.counters.flops += 1
-            regs.write(rd, result)
-            ready[rd] = ready_time
-            state.pc = next_pc
-
-        return run
-
-    value_fn, unit_attr, flops = _FPU_ARITH[name]
-    exec_cycles = getattr(lat, inst.opcode.latency_row)[0]
-    needs_d = name in ("fmadd", "fmsub")
-    rb_even = rb % 2 == 0
-
-    def run(state: _ThreadState):
-        tu = state.tu
-        regs = state.regs
-        a = regs.read_double(ra)
-        b = regs.read_double(rb) if rb_even else 0.0
-        d = regs.read_double(rd) if needs_d else 0.0
-        value = value_fn(a, b, d, tu)
-        ready = state.ready
-        earliest = tu.issue_time
-        for reg in dep_regs:
-            t = ready[reg]
-            if t > earliest:
-                earliest = t
-        earliest = yield earliest
-        issue_end, ready_time = getattr(state.fpu, unit_attr)(earliest)
-        tu.issue_at(issue_end - exec_cycles)
-        tu.retire(exec_cycles)
-        tu.counters.flops += flops
-        regs.write_double(rd, value)
-        ready[rd] = ready_time
-        ready[rd1] = ready_time
-        state.pc = next_pc
-
-    return run
-
-
-# --- SPR -------------------------------------------------------------------
-def _compile_spr(index: int, inst: Instruction):
-    ra, rd = inst.ra, inst.rd
-    next_pc = index + 1
-
-    if inst.opcode.name == "mtspr":
-
-        def run(state: _ThreadState):
-            tu = state.tu
-            ready = state.ready
-            earliest = tu.issue_time
-            t = ready[ra]
-            if t > earliest:
-                earliest = t
-            earliest = yield earliest
-            tu.issue_at(earliest)
-            tu.retire(1)
-            state.spr.write(tu.tid, state.regs.read(ra) & 0xFF)
-            state.pc = next_pc
-
-        return run
-
-    # mfspr
-    def run(state: _ThreadState):
-        tu = state.tu
-        earliest = yield tu.issue_time
-        tu.issue_at(earliest)
-        tu.retire(1)
-        state.regs.write(rd, state.spr.read_or())
-        state.ready[rd] = tu.issue_time
-        state.pc = next_pc
-
-    return run
-
-
-# --- system ----------------------------------------------------------------
-def _compile_system(index: int, inst: Instruction):
-    name = inst.opcode.name
-    rd = inst.rd
-    next_pc = index + 1
-
-    if name == "halt":
-
-        def run(state: _ThreadState) -> None:
-            tu = state.tu
-            tu.retire(1)
-            tu.counters.finish_time = tu.issue_time
-            state.halted = True
-
-        return run
-
-    if name == "tid":
-
-        def run(state: _ThreadState) -> None:
-            tu = state.tu
-            tu.retire(1)
-            state.regs.write(rd, tu.tid)
-            state.ready[rd] = tu.issue_time
-            state.pc = next_pc
-
-        return run
-
-    if name == "sync":
-
-        def run(state: _ThreadState) -> None:
-            # Order earlier memory operations: wait for every register's
-            # pending value (a conservative fence).
-            tu = state.tu
-            tu.issue_at(max(state.ready))
-            tu.retire(1)
-            state.pc = next_pc
-
-        return run
-
-    # nop
-    def run(state: _ThreadState) -> None:
-        state.tu.retire(1)
-        state.pc = next_pc
-
-    return run

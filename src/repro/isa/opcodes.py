@@ -157,22 +157,15 @@ for _code, (_name, _fmt, _unit, _row, _doc) in enumerate(_TABLE):
     OPCODES_BY_CODE[_code] = _op
 
 
-#: Unit-class groups, used by the interpreter's threaded-code compiler
-#: to pick a handler family per static instruction.
+#: Unit-class groups, used by the block code generator
+#: (:mod:`repro.isa.blocks`) to pick an emitter per static instruction.
 ALU_UNITS = frozenset(
     (UnitClass.ALU, UnitClass.ALU_MUL, UnitClass.ALU_DIV)
-)
-MEMORY_UNITS = frozenset(
-    (UnitClass.LOAD, UnitClass.STORE, UnitClass.ATOMIC)
 )
 FPU_UNITS = frozenset(
     (UnitClass.FPU_ADD, UnitClass.FPU_MUL, UnitClass.FPU_FMA,
      UnitClass.FPU_DIV, UnitClass.FPU_SQRT, UnitClass.FPU_CVT)
 )
-#: Units whose handlers are generators (they synchronize with the global
-#: event order before touching shared hardware); the rest run as plain
-#: calls — no generator object per executed instruction.
-GENERATOR_UNITS = frozenset(MEMORY_UNITS | FPU_UNITS | {UnitClass.SPR})
 
 #: Access width in bytes of each memory mnemonic (0 for atomics, which
 #: are always word-sized).

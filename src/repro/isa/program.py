@@ -21,27 +21,16 @@ class Program:
     instructions: list[Instruction] = field(default_factory=list)
     labels: dict[str, int] = field(default_factory=dict)
     base: int = 0x0
-    #: Threaded-code cache: ``{id(latency_table): (latency_table,
-    #: handlers)}``, filled by the interpreter the first time this
-    #: program runs. Handlers are keyed to the latency table they were
-    #: compiled against (the value keeps the table alive, which makes
-    #: the ``id`` key safe), so a program can move between chips with
-    #: different configs — or alternate between two configs in an
-    #: ablation sweep — without recompiling. Mutating ``instructions``
-    #: after a run leaves a stale cache — assemble a new Program instead.
-    _threaded: dict | None = field(
-        init=False, default=None, repr=False, compare=False
-    )
-    #: Basic-block superinstruction cache, same lifecycle, keyed by
-    #: ``(id(latency_table), pib_window_bytes)`` — see
-    #: :func:`repro.isa.blocks.compile_blocks`.
-    _blocks: dict | None = field(
-        init=False, default=None, repr=False, compare=False
-    )
-    #: Functional (timing-free) dispatch table, latency-independent —
-    #: see :func:`repro.isa.blocks.compile_functional`. Same lifecycle
-    #: caveat: mutating ``instructions`` leaves it stale.
-    _functional: object | None = field(
+    #: Dispatch-table cache: ``{(id(latency_table), pib_window):
+    #: (latency_table, table)}``, filled the first time this program
+    #: runs — see :func:`repro.isa.blocks.compile_blocks`. Each table is
+    #: keyed to the latency table it was compiled against (the value
+    #: keeps the table alive, which makes the ``id`` key safe), so a
+    #: program can move between chips with different configs — or
+    #: alternate between two configs in an ablation sweep — without
+    #: recompiling. Mutating ``instructions`` after a run leaves a stale
+    #: cache — assemble a new Program instead.
+    _tables: dict | None = field(
         init=False, default=None, repr=False, compare=False
     )
 

@@ -1,9 +1,10 @@
-"""Tests for basic-block superinstructions (repro.isa.blocks).
+"""Tests for the dispatch-table builder (repro.isa.blocks).
 
-The golden/differential suites prove block dispatch is cycle-exact;
-these tests pin the machinery itself: block formation rules, compile
-caches that survive alternating latency tables, every fallback switch,
-mid-block entry through ``jr``, and the telemetry counters.
+The golden/differential suites prove fused blocks are cycle-exact
+against 1-instruction blocks; these tests pin the machinery itself:
+block formation rules, the table layout, compile caches that survive
+alternating latency tables, both ways to select per-instruction
+dispatch, mid-block entry through ``jr``, and the telemetry counters.
 """
 
 import pytest
@@ -12,7 +13,7 @@ from repro.config import ChipConfig
 from repro.core.chip import Chip
 from repro.isa.assembler import assemble
 from repro.isa.blocks import block_spans, compile_blocks
-from repro.isa.interpreter import Interpreter, compile_program
+from repro.isa.interpreter import Interpreter
 from repro.telemetry import ChipInstrumentation
 
 _WINDOW = 64  # pib_entries (16) * word_bytes (4)
@@ -20,8 +21,12 @@ _WINDOW = 64  # pib_entries (16) * word_bytes (4)
 
 def _table(program, lat=None, window=_WINDOW):
     lat = lat if lat is not None else ChipConfig().latency
-    return compile_blocks(program, lat, window,
-                          compile_program(program, lat))
+    return compile_blocks(program, lat, window)
+
+
+def _names(table):
+    """Generated function name of every entry, ``_blk_<start>_<end>``."""
+    return [fn.__name__ for _, fn in table.entries]
 
 
 # ---------------------------------------------------------------------------
@@ -67,26 +72,28 @@ def test_generators_stay_inside_blocks():
     table = _table(program, lat)
     assert table.n_fused == 1
     assert table.lengths == [5]
-    # Non-leader slots keep their per-instruction handlers.
-    handlers = compile_program(program, lat)
-    assert table.entries[0] is not handlers[0]
-    assert all(table.entries[i] is handlers[i] for i in range(1, 5))
+    # The leader runs the fused block; non-leader slots keep their
+    # 1-instruction blocks, as in the per-instruction table.
+    assert _names(table) == ["_blk_0_5", "_blk_1_2", "_blk_2_3",
+                             "_blk_3_4", "_blk_4_5"]
+    assert _names(compile_blocks(program, lat)) == [
+        f"_blk_{i}_{i + 1}" for i in range(5)]
 
 
 def test_lone_plain_instruction_keeps_handler():
-    # A single-instruction straight-line block (created here by the
-    # branch target) gains nothing from fusion; its entry must be the
-    # per-instruction handler itself.
+    # Single-instruction blocks (created here by the jump, its target
+    # and the fall-through) are already their own 1-instruction blocks:
+    # nothing fuses, and each is compiled once.
     program = assemble(
         "j skip\n"
         "addi r3, r3, 1\n"
         "skip:\n"
         "halt\n"
     )
-    lat = ChipConfig().latency
-    handlers = compile_program(program, lat)
-    table = _table(program, lat)
-    assert table.entries[1] is handlers[1]
+    table = _table(program)
+    assert table.n_fused == 0
+    assert _names(table) == ["_blk_0_1", "_blk_1_2", "_blk_2_3"]
+    assert table.source.count("def ") == 3
 
 
 # ---------------------------------------------------------------------------
@@ -96,15 +103,16 @@ def test_compile_caches_survive_alternating_latency_tables():
     program = assemble("addi r3, r0, 1\nhalt\n")
     lat_a = ChipConfig().latency
     lat_b = ChipConfig().latency
-    handlers_a = compile_program(program, lat_a)
-    handlers_b = compile_program(program, lat_b)
-    assert handlers_a is not handlers_b
+    singles_a = compile_blocks(program, lat_a)
+    singles_b = compile_blocks(program, lat_b)
+    assert singles_a is not singles_b
     table_a = _table(program, lat_a)
     table_b = _table(program, lat_b)
     assert table_a is not table_b
+    assert table_a is not singles_a
     for _ in range(3):
-        assert compile_program(program, lat_a) is handlers_a
-        assert compile_program(program, lat_b) is handlers_b
+        assert compile_blocks(program, lat_a) is singles_a
+        assert compile_blocks(program, lat_b) is singles_b
         assert _table(program, lat_a) is table_a
         assert _table(program, lat_b) is table_b
 
@@ -120,15 +128,11 @@ def test_kwarg_disables_block_dispatch():
     assert Interpreter(chip, block_dispatch=False).block_dispatch is False
 
 
-def test_env_disables_block_dispatch(monkeypatch):
-    monkeypatch.setenv("CYCLOPS_NO_SUPERINST", "1")
-    assert Interpreter(Chip(sanitize=False)).block_dispatch is False
-
-
 def test_sanitizer_forces_per_instruction_dispatch():
-    # The sanitizer's pc_of facade assumes state.pc moves every
-    # instruction, so a sanitized chip must fall back — and still
-    # produce the same cycles as block dispatch on a clean chip.
+    # The sanitizer's pc_of facade needs state.pc to name the
+    # instruction in flight, so a sanitized chip runs 1-instruction
+    # blocks — and still produces the same cycles as block dispatch on
+    # a clean chip.
     source = (
         "addi r4, r0, 2048\n"
         "addi r3, r0, 7\n"
@@ -156,9 +160,9 @@ def test_sanitizer_forces_per_instruction_dispatch():
 def test_jr_into_block_interior():
     # A computed jr lands on a pc that no static branch targets, i.e.
     # the *interior* of a fused block. The interior pc keeps its
-    # per-instruction handler, so execution resumes there and rejoins
-    # block dispatch at the next leader — with timing identical to the
-    # pure per-instruction interpreter.
+    # 1-instruction block, so execution resumes there and rejoins
+    # block dispatch at the next leader — with timing identical to
+    # per-instruction dispatch.
     source = (
         "addi r2, r0, 16\n"   # byte address of `target` below
         "jr r2\n"
@@ -204,21 +208,20 @@ def test_block_metrics_published():
     interp.add_thread(0, program)
     interp.run()
     snap = inst.registry.snapshot()
-    # Two fused blocks: the 3-instruction loop body and the halt
-    # singleton. The lone entry addi keeps its plain handler, so it
-    # never counts as compiled.
-    assert snap["counters"]["engine.blocks.compiled"] == 2
+    # One fused block: the 3-instruction loop body. The lone entry
+    # addi and the halt are 1-instruction blocks, never fused.
+    assert snap["counters"]["engine.blocks.compiled"] == 1
     # entry once, loop body four times, halt once.
     assert snap["counters"]["engine.blocks.dispatches"] == 6
     hist = snap["histograms"]["engine.blocks.length"]
-    assert hist["count"] == 2
+    assert hist["count"] == 1
 
     # A fresh interpreter re-publishes its own table exactly once.
     interp2 = Interpreter(chip, model_fetch=False)
     interp2.add_thread(1, program)
     interp2.run()
     snap = inst.registry.snapshot()
-    assert snap["counters"]["engine.blocks.compiled"] == 4
+    assert snap["counters"]["engine.blocks.compiled"] == 2
     assert snap["counters"]["engine.blocks.dispatches"] == 12
 
 

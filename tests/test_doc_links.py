@@ -13,6 +13,12 @@ class TestDocLinks:
     def test_shipped_docs_have_no_dead_links(self):
         assert dead_links(default_paths(ROOT)) == []
 
+    def test_default_scan_covers_top_level_docs(self):
+        paths = default_paths(ROOT)
+        for page in sorted(ROOT.glob("*.md")):
+            assert page in paths, f"{page.name} is not scanned"
+        assert ROOT / "docs" / "performance.md" in paths
+
     def test_index_covers_every_docs_page(self):
         index = (ROOT / "docs" / "README.md").read_text()
         for page in sorted((ROOT / "docs").glob("*.md")):

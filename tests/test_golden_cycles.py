@@ -1,6 +1,6 @@
 """Golden cycle-count regression tests.
 
-The engine fast paths (run-list scheduling, threaded-code dispatch,
+The engine fast paths (run-list scheduling, generated-block dispatch,
 allocation-free memory accesses) are pure host-side optimizations: they
 must not move a single simulated cycle. These tests pin the **exact**
 final cycle counts of representative runs — Table 2 microbenchmark
@@ -48,9 +48,9 @@ _CHAINS = [
 ]
 
 
-#: Both dispatchers must land on the same goldens: the block compiler
-#: (repro.isa.blocks) is a host-side optimization with per-instruction
-#: threaded code as its reference semantics.
+#: Both dispatch modes must land on the same goldens: fused blocks
+#: (repro.isa.blocks) are a host-side optimization over 1-instruction
+#: blocks ("threaded", the per-instruction mode).
 _DISPATCHERS = pytest.mark.parametrize(
     "block_dispatch", [False, True], ids=["threaded", "blocks"]
 )

@@ -413,3 +413,229 @@ class TestInterpreter:
         icache = chip.icache_of(0)
         assert icache.misses >= 1
         assert icache.hits >= 1
+
+
+# ---------------------------------------------------------------------------
+# Opcode oracle: one hand-computed row per mnemonic
+# ---------------------------------------------------------------------------
+#: ``(mnemonic, source, init, expect)``. Keys of ``init`` and ``expect``:
+#: ``rN`` a u32 register, ``dN`` the double in pair N, ``m<addr>`` /
+#: ``f<addr>`` a u32 / f64 in memory; ``sprN`` (init) writes thread N's
+#: barrier SPR and ``spr`` (expect) is the wired-OR read; ``insns`` is
+#: the retired-instruction count. Branch rows land on ``taken:`` (r5 = 2)
+#: or fall through (r5 = 1). Every expected value is worked by hand from
+#: the opcode's definition, not from the interpreter.
+_BRANCH = "{op} r3, r4, taken\naddi r5, r0, 1\nhalt\ntaken:\naddi r5, r0, 2\nhalt"
+_M = 0x100  # data base address of the memory rows
+OPCODE_ORACLE = [
+    # fixed point, register form
+    ("add", "add r5, r3, r4", {"r3": 0xFFFFFFFF, "r4": 2}, {"r5": 1}),
+    ("sub", "sub r5, r3, r4", {"r3": 1, "r4": 2}, {"r5": 0xFFFFFFFF}),
+    ("and", "and r5, r3, r4", {"r3": 0xF0F0, "r4": 0xFF00}, {"r5": 0xF000}),
+    ("or", "or r5, r3, r4", {"r3": 0xF0F0, "r4": 0x0F00}, {"r5": 0xFFF0}),
+    ("xor", "xor r5, r3, r4", {"r3": 0xFF00, "r4": 0x0FF0}, {"r5": 0xF0F0}),
+    ("nor", "nor r5, r3, r4", {"r3": 0xFFFF0000, "r4": 0xFF00},
+     {"r5": 0xFF}),
+    ("slt", "slt r5, r3, r4", {"r3": 0xFFFFFFFF, "r4": 1}, {"r5": 1}),
+    ("sltu", "sltu r5, r3, r4", {"r3": 0xFFFFFFFF, "r4": 1}, {"r5": 0}),
+    ("sll", "sll r5, r3, r4", {"r3": 3, "r4": 33}, {"r5": 6}),
+    ("srl", "srl r5, r3, r4", {"r3": 0x80000000, "r4": 4},
+     {"r5": 0x08000000}),
+    ("sra", "sra r5, r3, r4", {"r3": 0x80000000, "r4": 4},
+     {"r5": 0xF8000000}),
+    # fixed point, immediate form
+    ("addi", "addi r5, r3, -7", {"r3": 5}, {"r5": 0xFFFFFFFE}),
+    ("andi", "andi r5, r3, -16", {"r3": 0xFFFF}, {"r5": 0xFFF0}),
+    ("ori", "ori r5, r3, 0xff", {"r3": 0x1000}, {"r5": 0x10FF}),
+    ("xori", "xori r5, r3, -1", {"r3": 0xFF}, {"r5": 0xFFFFFF00}),
+    ("slti", "slti r5, r3, -1", {"r3": 0xFFFFFFFE}, {"r5": 1}),
+    ("sltiu", "sltiu r5, r3, -1", {"r3": 5}, {"r5": 1}),
+    ("slli", "slli r5, r3, 2", {"r3": 0x40000001}, {"r5": 4}),
+    ("srli", "srli r5, r3, 28", {"r3": 0xF0000000}, {"r5": 0xF}),
+    ("srai", "srai r5, r3, 28", {"r3": 0xF0000000}, {"r5": 0xFFFFFFFF}),
+    ("lui", "lui r5, -1", {}, {"r5": 0xFFF80000}),
+    # multiply / divide
+    ("mul", "mul r5, r3, r4", {"r3": 0xFFFFFFFD, "r4": 7},
+     {"r5": 0xFFFFFFEB}),
+    ("mulhu", "mulhu r5, r3, r4", {"r3": 0x80000000, "r4": 6}, {"r5": 3}),
+    ("div", "div r5, r3, r4", {"r3": 0xFFFFFFF9, "r4": 2},
+     {"r5": 0xFFFFFFFD}),
+    ("divu", "divu r5, r3, r4", {"r3": 0xFFFFFFFE, "r4": 2},
+     {"r5": 0x7FFFFFFF}),
+    ("rem", "rem r5, r3, r4", {"r3": 0xFFFFFFF9, "r4": 2},
+     {"r5": 0xFFFFFFFF}),
+    # branches
+    ("beq", _BRANCH.format(op="beq"), {"r3": 5, "r4": 5}, {"r5": 2}),
+    ("bne", _BRANCH.format(op="bne"), {"r3": 5, "r4": 5}, {"r5": 1}),
+    ("blt", _BRANCH.format(op="blt"), {"r3": 0xFFFFFFFF, "r4": 1},
+     {"r5": 2}),
+    ("bge", _BRANCH.format(op="bge"), {"r3": 0xFFFFFFFF, "r4": 1},
+     {"r5": 1}),
+    ("bltu", _BRANCH.format(op="bltu"), {"r3": 0xFFFFFFFF, "r4": 1},
+     {"r5": 1}),
+    ("bgeu", _BRANCH.format(op="bgeu"), {"r3": 0xFFFFFFFF, "r4": 1},
+     {"r5": 2}),
+    ("j", "j taken\naddi r5, r0, 1\nhalt\ntaken:\naddi r5, r0, 2\nhalt",
+     {}, {"r5": 2}),
+    ("jal", "jal taken\naddi r5, r0, 1\nhalt\ntaken:\naddi r5, r0, 2\nhalt",
+     {}, {"r5": 2, "r2": 4}),
+    ("jr", "jr r6\naddi r5, r0, 1\nhalt\naddi r5, r0, 2\nhalt",
+     {"r6": 12}, {"r5": 2}),
+    # memory: the word at _M holds bytes EF BE AD DE
+    ("lw", "lw r5, 4(r3)", {"r3": _M, f"m{_M + 4}": 0xDEADBEEF},
+     {"r5": 0xDEADBEEF}),
+    ("lhu", "lhu r5, 2(r3)", {"r3": _M, f"m{_M}": 0xDEADBEEF},
+     {"r5": 0xDEAD}),
+    ("lbu", "lbu r5, 3(r3)", {"r3": _M, f"m{_M}": 0xDEADBEEF},
+     {"r5": 0xDE}),
+    ("ld", "ld r10, 8(r3)", {"r3": _M, f"f{_M + 8}": -1.5},
+     {"d10": -1.5}),
+    ("sw", "sw r5, 4(r3)", {"r3": _M, "r5": 0x12345678},
+     {f"m{_M + 4}": 0x12345678}),
+    ("sh", "sh r5, 2(r3)",
+     {"r3": _M, "r5": 0x1234ABCD, f"m{_M}": 0xDEADBEEF},
+     {f"m{_M}": 0xABCDBEEF}),
+    ("sb", "sb r5, 1(r3)",
+     {"r3": _M, "r5": 0x1234ABCD, f"m{_M}": 0xDEADBEEF},
+     {f"m{_M}": 0xDEADCDEF}),
+    ("sd", "sd r10, 8(r3)", {"r3": _M, "d10": 2.25}, {f"f{_M + 8}": 2.25}),
+    # atomics: rd gets the old word, memory the combined one
+    ("amoadd", "amoadd r5, r3, r4",
+     {"r3": _M, "r4": 0x1F, f"m{_M}": 0xFFFFFFF0},
+     {"r5": 0xFFFFFFF0, f"m{_M}": 0x0F}),
+    ("amoswap", "amoswap r5, r3, r4",
+     {"r3": _M, "r4": 0x1F, f"m{_M}": 0xFFFFFFF0},
+     {"r5": 0xFFFFFFF0, f"m{_M}": 0x1F}),
+    ("amoand", "amoand r5, r3, r4",
+     {"r3": _M, "r4": 0x1F, f"m{_M}": 0xFFFFFFF0},
+     {"r5": 0xFFFFFFF0, f"m{_M}": 0x10}),
+    ("amoor", "amoor r5, r3, r4",
+     {"r3": _M, "r4": 0x1F, f"m{_M}": 0xFFFFFFF0},
+     {"r5": 0xFFFFFFF0, f"m{_M}": 0xFFFFFFFF}),
+    ("sync", "sync", {"r5": 41}, {"r5": 41, "insns": 2}),
+    # SPRs: mtspr keeps the low 8 bits; mfspr reads the wired-OR
+    ("mtspr", "mtspr r3, 0", {"r3": 0x1A5}, {"spr": 0xA5}),
+    ("mfspr", "mfspr r5, 0", {"spr0": 0x30, "spr5": 0x0C}, {"r5": 0x3C}),
+    # floating point on even/odd pairs
+    ("fadd", "fadd r14, r10, r12", {"d10": 1.5, "d12": 2.25},
+     {"d14": 3.75}),
+    ("fsub", "fsub r14, r10, r12", {"d10": 1.5, "d12": 2.25},
+     {"d14": -0.75}),
+    ("fmul", "fmul r14, r10, r12", {"d10": 1.5, "d12": 2.25},
+     {"d14": 3.375}),
+    ("fdiv", "fdiv r14, r10, r12", {"d10": 3.0, "d12": 0.75},
+     {"d14": 4.0}),
+    ("fsqrt", "fsqrt r14, r10", {"d10": 6.25}, {"d14": 2.5}),
+    ("fmadd", "fmadd r14, r10, r12", {"d10": 1.5, "d12": 2.25, "d14": 1.0},
+     {"d14": 4.375}),
+    ("fmsub", "fmsub r14, r10, r12", {"d10": 1.5, "d12": 2.25, "d14": 1.0},
+     {"d14": -2.375}),
+    ("fneg", "fneg r14, r10", {"d10": 1.5}, {"d14": -1.5}),
+    ("fabs", "fabs r14, r10", {"d10": -1.5}, {"d14": 1.5}),
+    ("fmov", "fmov r14, r10", {"d10": -1.5}, {"d14": -1.5}),
+    ("fcmplt", "fcmplt r5, r10, r12", {"d10": 1.5, "d12": 2.25}, {"r5": 1}),
+    ("fcmpeq", "fcmpeq r5, r10, r12", {"d10": 2.25, "d12": 2.25},
+     {"r5": 1}),
+    ("cvtif", "cvtif r14, r3", {"r3": 0xFFFFFFFB}, {"d14": -5.0}),
+    ("cvtfi", "cvtfi r5, r10", {"d10": -7.9}, {"r5": 0xFFFFFFF9}),
+    # system
+    ("nop", "nop", {"r5": 41}, {"r5": 41, "insns": 2}),
+    ("halt", "halt\naddi r5, r0, 1", {}, {"r5": 0, "insns": 1}),
+    ("tid", "tid r5", {}, {"r5": 37}),
+]
+
+
+def _run_oracle_row(source, init, block_dispatch):
+    chip = Chip()
+    backing = chip.memory.backing
+    regs, doubles = {}, {}
+    for key, value in init.items():
+        if key.startswith("spr"):
+            chip.barrier_spr.write(int(key[3:]), value)
+        elif key[0] == "r":
+            regs[int(key[1:])] = value
+        elif key[0] == "d":
+            doubles[int(key[1:])] = value
+        elif key[0] == "m":
+            backing.store_u32(int(key[1:]), value)
+        else:
+            backing.store_f64(int(key[1:]), value)
+    if "halt" not in source:
+        source += "\nhalt"
+    interp = Interpreter(chip, model_fetch=False,
+                         block_dispatch=block_dispatch)
+    state = interp.add_thread(37, assemble(source), regs, doubles)
+    interp.run()
+    return chip, state
+
+
+class TestOpcodeOracle:
+    """Every mnemonic's result against a hand-computed value, under
+    both dispatch modes — the reference the code generator answers to."""
+
+    def test_table_covers_every_opcode(self):
+        names = [row[0] for row in OPCODE_ORACLE]
+        assert len(names) == len(set(names))
+        assert set(names) == set(OPCODES)
+
+    @pytest.mark.parametrize("block_dispatch", [True, False],
+                             ids=["blocks", "per-insn"])
+    @pytest.mark.parametrize("name,source,init,expect", OPCODE_ORACLE,
+                             ids=[row[0] for row in OPCODE_ORACLE])
+    def test_result(self, name, source, init, expect, block_dispatch):
+        chip, state = _run_oracle_row(source, init, block_dispatch)
+        backing = chip.memory.backing
+        for key, value in expect.items():
+            if key == "spr":
+                got = chip.barrier_spr.read_or()
+            elif key == "insns":
+                got = state.tu.counters.instructions
+            elif key[0] == "r":
+                got = state.regs.read(int(key[1:]))
+            elif key[0] == "d":
+                got = state.regs.read_double(int(key[1:]))
+            elif key[0] == "m":
+                got = backing.load_u32(int(key[1:]))
+            else:
+                got = backing.load_f64(int(key[1:]))
+            assert got == value, f"{name}: {key} = {got!r}, want {value!r}"
+
+
+_FP_ARITH = ["fadd", "fsub", "fmul", "fdiv", "fsqrt", "fmadd", "fmsub",
+             "fneg", "fabs", "fmov"]
+_TWO_OPERAND_FP = {"fsqrt", "fneg", "fabs", "fmov"}
+
+
+def _fp_source(op, rd, ra):
+    if op in _TWO_OPERAND_FP:
+        return f"{op} r{rd}, r{ra}"
+    return f"{op} r{rd}, r{ra}, r12"
+
+
+#: ``(case id, source)``: each pair operand of each double-pair opcode
+#: given an odd register.
+ODD_PAIR_CASES = (
+    [(f"{op}-ra", _fp_source(op, 14, 11)) for op in _FP_ARITH]
+    + [(f"{op}-rd", _fp_source(op, 15, 10)) for op in _FP_ARITH]
+    + [("fcmplt-ra", "fcmplt r5, r11, r12"),
+       ("fcmpeq-ra", "fcmpeq r5, r11, r12"),
+       ("cvtif-rd", "cvtif r15, r3"),
+       ("cvtfi-ra", "cvtfi r5, r11"),
+       ("ld-rd", "ld r11, 0(r3)"),
+       ("sd-rd", "sd r11, 0(r3)")]
+)
+
+
+class TestOddPairFaults:
+    @pytest.mark.parametrize("block_dispatch", [True, False],
+                             ids=["blocks", "per-insn"])
+    @pytest.mark.parametrize("source", [case[1] for case in ODD_PAIR_CASES],
+                             ids=[case[0] for case in ODD_PAIR_CASES])
+    def test_odd_register_raises(self, source, block_dispatch):
+        # Non-zero operands, so fdiv reaches the pair check rather than
+        # its divide-by-zero trap.
+        init = {"r3": _M, "d10": 1.0, "d12": 2.0}
+        with pytest.raises(ExecutionError,
+                           match="double-precision pair must start at an "
+                                 "even register"):
+            _run_oracle_row(source, init, block_dispatch)

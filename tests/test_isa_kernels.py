@@ -68,7 +68,7 @@ class TestLayerCrossValidation:
     """The ISA interpreter and the direct-execution model must agree:
     both charge the same Table 2 machine for the same loop shape."""
 
-    @pytest.mark.parametrize("kernel", ["copy", "triad"])
+    @pytest.mark.parametrize("kernel", ["copy", "scale", "add", "triad"])
     def test_cycles_per_element_agree(self, kernel):
         _, _, isa_cycles = run_isa_stream(kernel)
         isa_per_element = isa_cycles / N
@@ -77,11 +77,12 @@ class TestLayerCrossValidation:
             kernel=kernel, n_elements=N, n_threads=1, warmup=False,
         ))
         direct_per_element = direct.cycles / N
-        # The models differ in charged loop overhead (the ISA loop has
-        # its literal instruction count); 35% agreement is tight enough
-        # to catch any real divergence in the shared timing machinery.
+        # The models differ only in charged loop overhead: the ISA loop
+        # pays for its literal loop instructions, so it runs 1-3% slower
+        # (N=256: copy 1.0135, scale 1.0110, add 1.0311, triad 1.0279).
+        # The band is that error plus a small margin.
         ratio = isa_per_element / direct_per_element
-        assert 0.65 < ratio < 1.35, (isa_per_element, direct_per_element)
+        assert 1.0 <= ratio < 1.05, (isa_per_element, direct_per_element)
 
     def test_unrolling_gain_agrees(self):
         """Both layers must show a similar unrolling speedup."""

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Check that relative markdown links point at files that exist.
 
-Scans ``README.md`` and everything under ``docs/`` by default (pass
-explicit paths to scan something else), extracts inline markdown links,
+Scans every top-level ``*.md`` (``README.md`` among them) and
+everything under ``docs/`` by default (pass explicit paths to scan
+something else), extracts inline markdown links,
 and verifies every relative target resolves against the linking file's
 directory. External links (``http(s)://``, ``mailto:``) and pure
 in-page anchors (``#...``) are ignored; a ``path#anchor`` target is
@@ -45,10 +46,8 @@ def dead_links(paths: list[pathlib.Path]) -> list[tuple[pathlib.Path, int, str]]
 
 
 def default_paths(root: pathlib.Path) -> list[pathlib.Path]:
-    """README.md plus every markdown file under docs/."""
-    paths = [root / "README.md"]
-    paths.extend(sorted((root / "docs").glob("*.md")))
-    return [path for path in paths if path.exists()]
+    """Every top-level markdown file plus every one under docs/."""
+    return sorted(root.glob("*.md")) + sorted((root / "docs").glob("*.md"))
 
 
 def main(argv: list[str] | None = None) -> int:
