@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from repro.config import ChipConfig
 from repro.engine.resources import NonPipelinedUnit, PipelinedUnit
+from repro.errors import SimulationError
 
 
 class FPU:
@@ -70,10 +71,33 @@ class FPU:
         slots are simultaneously free at or after *time*.
         """
         execution, latency = self.config.latency.fp_multiply_add
-        earliest = max(time, self.adder.next_free, self.multiplier.next_free)
-        grant_a = self.adder.reserve(earliest, execution)
-        grant_m = self.multiplier.reserve(earliest, execution)
-        grant = max(grant_a, grant_m)
+        adder = self.adder
+        multiplier = self.multiplier
+        grant = time
+        if adder.next_free > grant:
+            grant = adder.next_free
+        if multiplier.next_free > grant:
+            grant = multiplier.next_free
+        # TimelineResource.reserve(grant, execution) on both pipes,
+        # inlined; both are free at *grant*, so each grants *grant*.
+        if grant < 0 or execution < 0:
+            raise SimulationError(
+                f"{adder.name}: bad reservation t={grant} busy={execution}"
+            )
+        if grant < adder._last_request:
+            adder.reorderings += 1
+        else:
+            adder._last_request = grant
+        adder.next_free = grant + execution
+        adder.busy_cycles += execution
+        adder.n_requests += 1
+        if grant < multiplier._last_request:
+            multiplier.reorderings += 1
+        else:
+            multiplier._last_request = grant
+        multiplier.next_free = grant + execution
+        multiplier.busy_cycles += execution
+        multiplier.n_requests += 1
         self.operations += 1
         if grant != time:
             self.contention_cycles += grant - time

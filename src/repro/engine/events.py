@@ -1,59 +1,50 @@
 """Time-ordered event queue primitives.
 
-:class:`EventQueue` is a fast wrapper over :mod:`heapq` keyed by
-``(time, sequence)`` so that same-cycle events pop in insertion order.
-The common case in the engine — many processes resuming at the *current*
-cycle — bypasses the heap entirely through a same-cycle **run list**:
-when a pop reveals several events tied at the earliest time, the whole
-tie group is drained into a plain list that subsequent pops index into,
-and pushes at that same time append to the list. Both directions are
-O(1) instead of O(log n), and the observable order is identical to the
-pure-heap implementation (ties pop in push order, always).
+:class:`EventQueue` is a **calendar queue**: a ``dict`` from simulated
+time to a FIFO ``deque`` of the payloads due then (a *bucket*), plus a
+heap of the distinct times that have a bucket. A push is a ``dict.get``
+and an ``append`` (plus one ``heappush`` of a bare ``int`` when the time
+is new); a pop is a ``popleft`` from the earliest bucket (plus one
+``heappop`` when that bucket empties). Same-cycle events — the engine's
+common case, where most resumptions land on a cycle that is already
+queued — never touch the heap, and ties pop in push order by
+construction.
+
+:meth:`Scheduler.run <repro.engine.scheduler.Scheduler.run>` drains the
+buckets itself (one heap pop per bucket, one ``popleft`` per process),
+so the methods here serve set-up, wake-ups and generic clients.
 
 :class:`Waiter` is a parking lot for processes blocked on a condition
 (barrier arrival, thread join, lock release): it holds them outside the
-scheduler heap until another process wakes them at an explicit time.
+scheduler queue until another process wakes them at an explicit time.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from itertools import count
 from typing import Any, Iterator
 
 
 class EventQueue:
-    """A min-heap of ``(time, payload)`` with stable FIFO tie-breaking.
+    """A calendar of ``(time, payload)`` events with FIFO tie-breaking.
 
-    Internally two structures cooperate:
-
-    * ``_heap`` — the classic ``(time, seq, payload)`` heap;
-    * ``_ready`` / ``_ready_time`` — the same-cycle run list: a deque of
-      payloads all scheduled at ``_ready_time``, consumed from the left.
-
-    Invariant: while the run list is non-empty, the heap holds no entry
-    at exactly ``_ready_time`` (pushes at that time append to the run
-    list instead), so FIFO order within the tie group is preserved by
-    construction. The heap may still hold *earlier* entries (a generic
-    client may push into the past of the run list); :meth:`pop` and
-    :meth:`peek_time` check for that and serve the heap first.
+    Invariant: ``_times`` holds exactly the keys of ``_buckets``, and
+    every bucket is non-empty — a bucket is deleted (and its time popped
+    from the heap) the moment its last payload leaves. So the earliest
+    queued time is always ``_times[0]``, and a push at a time whose
+    bucket just emptied starts a fresh bucket, still behind every
+    payload popped before it.
     """
 
-    __slots__ = ("n", "next_time", "_heap", "_seq", "_ready", "_ready_time")
+    __slots__ = ("n", "_buckets", "_times")
 
     def __init__(self) -> None:
         #: Number of queued events. A plain attribute so the scheduler's
         #: inner loop can test emptiness without a ``__bool__`` call.
         self.n = 0
-        #: Earliest queued time, maintained on every push/pop so hot
-        #: callers read an attribute instead of calling :meth:`peek_time`.
-        #: Meaningless while the queue is empty.
-        self.next_time = 0
-        self._heap: list[tuple[int, int, Any]] = []
-        self._seq = count()
-        self._ready: deque[Any] = deque()
-        self._ready_time = 0
+        self._buckets: dict[int, deque[Any]] = {}
+        self._times: list[int] = []
 
     def __len__(self) -> int:
         return self.n
@@ -61,15 +52,21 @@ class EventQueue:
     def __bool__(self) -> bool:
         return self.n > 0
 
+    @property
+    def next_time(self) -> int:
+        """Earliest queued time (meaningless, 0, while the queue is empty)."""
+        times = self._times
+        return times[0] if times else 0
+
     def push(self, time: int, payload: Any) -> None:
         """Schedule *payload* at *time* (ties pop in push order)."""
-        if self.n == 0 or time < self.next_time:
-            self.next_time = time
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = deque((payload,))
+            heappush(self._times, time)
+        else:
+            bucket.append(payload)
         self.n += 1
-        if self._ready and time == self._ready_time:
-            self._ready.append(payload)
-            return
-        heappush(self._heap, (time, next(self._seq), payload))
 
     def push_front(self, time: int, payload: Any) -> None:
         """Schedule *payload* at *time*, ahead of every event already
@@ -80,57 +77,33 @@ class EventQueue:
         from, so same-cycle events that originally sat behind it still
         run after it (see :meth:`Scheduler.wake`).
         """
-        if self.n == 0 or time < self.next_time:
-            self.next_time = time
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = deque((payload,))
+            heappush(self._times, time)
+        else:
+            bucket.appendleft(payload)
         self.n += 1
-        if self._ready and time == self._ready_time:
-            self._ready.appendleft(payload)
-            return
-        # Negative sequence numbers sort ahead of every normal push at
-        # the same time; the magnitude still comes from the shared
-        # counter so later front-pushes do not collide.
-        heappush(self._heap, (time, -next(self._seq), payload))
 
     def pop(self) -> tuple[int, Any]:
         """Remove and return the earliest ``(time, payload)``."""
-        ready = self._ready
-        heap = self._heap
-        if ready:
-            rtime = self._ready_time
-            if not heap or heap[0][0] >= rtime:
-                self.n -= 1
-                payload = ready.popleft()
-                # Run list non-empty: still the head (the guard above
-                # says nothing in the heap beats ``rtime``); otherwise
-                # the heap head (if any) takes over.
-                if not ready and heap:
-                    self.next_time = heap[0][0]
-                return rtime, payload
-            # A generic client pushed into the run list's past: serve it.
-            self.n -= 1
-            time, _, payload = heappop(heap)
-            self.next_time = heap[0][0] \
-                if heap and heap[0][0] < rtime else rtime
-            return time, payload
-        time, _, payload = heappop(heap)
+        times = self._times
+        if not times:
+            raise IndexError("pop from an empty event queue")
+        time = times[0]
+        bucket = self._buckets[time]
+        payload = bucket.popleft()
+        if not bucket:
+            del self._buckets[time]
+            heappop(times)
         self.n -= 1
-        if heap:
-            head = heap[0][0]
-            if head == time:
-                # A tie group: drain it into the run list so the rest of
-                # the group pops (and same-cycle pushes append) without
-                # the heap.
-                while heap and heap[0][0] == time:
-                    ready.append(heappop(heap)[2])
-                self._ready_time = time
-            self.next_time = head
         return time, payload
 
     def peek_time(self) -> int:
         """Earliest scheduled time without removing it."""
         if self.n == 0:
             raise IndexError("peek into an empty event queue")
-        return self.next_time
+        return self._times[0]
 
     def peek_time_or(self, default: int) -> int:
         """Earliest scheduled time, or *default* when the queue is empty.
@@ -139,7 +112,8 @@ class EventQueue:
         this every synchronization round; the explicit default avoids an
         exception-driven control flow on the empty-domain path.
         """
-        return self.next_time if self.n else default
+        times = self._times
+        return times[0] if times else default
 
     def drain(self) -> Iterator[tuple[int, Any]]:
         """Pop everything in time order (useful in tests)."""

@@ -15,10 +15,19 @@ A *process* is a Python generator. The protocol has two yield forms:
 Returning from the generator ends the process; exit callbacks registered
 with :meth:`Process.on_exit` run at the process's final time (used for
 thread join).
+
+Processes wait in a calendar :class:`~repro.engine.events.EventQueue`
+(one FIFO bucket per simulated time). :meth:`Scheduler.run` drains it a
+bucket at a time: one heap pop per distinct time, one ``popleft`` per
+resumption, and a ``dict.get`` plus ``append`` to file a process that
+reschedules. A process that reschedules strictly before everything
+queued is resumed directly, without touching the queue.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator
 
 from repro.engine.events import EventQueue
@@ -36,13 +45,15 @@ ProcessBody = Generator[Any, int, None]
 class Process:
     """A schedulable generator with bookkeeping for joins and accounting."""
 
-    __slots__ = ("pid", "name", "gen", "time", "done", "blocked", "started",
-                 "_exit_callbacks")
+    __slots__ = ("pid", "name", "gen", "send", "time", "done", "blocked",
+                 "started", "_exit_callbacks")
 
     def __init__(self, pid: int, gen: ProcessBody, name: str = "") -> None:
         self.pid = pid
         self.name = name or f"process-{pid}"
         self.gen = gen
+        #: ``gen.send``, bound once rather than on every resumption.
+        self.send = gen.send
         #: The process's local clock: last known simulated time.
         self.time = 0
         self.done = False
@@ -149,77 +160,100 @@ class Scheduler:
         real deadlock (see :mod:`repro.pdes`).
         """
         queue = self.queue
+        buckets = queue._buckets
+        times = queue._times
         probe = self.probe  # hoisted: attach probes before run(), not during
-        pop = queue.pop
-        push = queue.push
         steps = 0
-        # The body below is :meth:`_step` inlined into the resume loop —
-        # one Python frame per process resumption is measurable at the
-        # millions-of-events scale (see docs/performance.md).
+        # Calendar drain, with :meth:`EventQueue.pop`/``push`` and the
+        # process step inlined — one Python frame per resumption is
+        # measurable at the millions-of-events scale (see
+        # docs/performance.md). Each outer iteration serves one time
+        # bucket; each inner iteration one process. The queue invariant
+        # (every heap time has a non-empty bucket) holds at every
+        # resumption, so processes may push, spawn and wake freely.
         try:
-            while queue.n:
+            while times:
                 if self.stop:
                     break
-                if until is not None and queue.next_time > until:
+                bucket_time = times[0]
+                if until is not None and bucket_time > until:
                     self.now = until
-                    return self.now
-                time, process = pop()
-                if time < self.now:
+                    return until
+                if bucket_time < self.now:
                     raise SimulationError(
-                        f"time went backwards: {time} < {self.now}"
+                        f"time went backwards: {bucket_time} < {self.now}"
                     )
-                self.now = time
-                process.time = time
-                send = process.gen.send
-                if process.started:
-                    value = time
-                else:
-                    process.started = True
-                    value = None  # first resume: next(gen) == send(None)
-                while True:
-                    try:
-                        request = send(value)
-                    except StopIteration:
-                        request = _FINISHED
-                    steps += 1
-                    if probe is not None:
-                        probe(queue.n, time)
-                    if isinstance(request, int):
-                        if request < time:
-                            raise SimulationError(
-                                f"{process.name} rescheduled into the past "
-                                f"({request} < {time})"
-                            )
-                        process.time = request
-                        # Fast path: the process rescheduled itself at a
-                        # time strictly before every queued event (it
-                        # would pop next anyway), so resume it directly
-                        # and skip the heap round-trip. Ties must go
-                        # through the queue — FIFO order says earlier-
-                        # pushed events run first — and so must anything
-                        # past the `until` horizon.
-                        if (until is not None and request > until) or \
-                                (queue.n and request >= queue.next_time):
-                            push(request, process)
+                bucket = buckets[bucket_time]
+                popleft = bucket.popleft
+                self.now = bucket_time
+                while bucket:
+                    process = popleft()
+                    queue.n -= 1
+                    if not bucket:
+                        # Last one out: later pushes at this cycle open
+                        # a fresh bucket behind it.
+                        del buckets[bucket_time]
+                        heappop(times)
+                    # process.time already holds bucket_time: every
+                    # push (spawn, wake, the reschedule below) sets it.
+                    time = bucket_time
+                    send = process.send
+                    if process.started:
+                        value = time
+                    else:
+                        process.started = True
+                        value = None  # first resume: next(gen) == send(None)
+                    while True:
+                        try:
+                            request = send(value)
+                        except StopIteration:
+                            request = _FINISHED
+                        steps += 1
+                        if probe is not None:
+                            probe(queue.n, time)
+                        if isinstance(request, int):
+                            if request < time:
+                                raise SimulationError(
+                                    f"{process.name} rescheduled into the "
+                                    f"past ({request} < {time})"
+                                )
+                            process.time = request
+                            # Fast path: the process rescheduled itself
+                            # strictly before every queued event (it would
+                            # pop next anyway), so resume it directly.
+                            # Ties must go through the queue — FIFO order
+                            # says earlier-pushed events run first — and
+                            # so must anything past the `until` horizon.
+                            if (times and request >= times[0]) or \
+                                    (until is not None and request > until):
+                                later = buckets.get(request)
+                                if later is None:
+                                    buckets[request] = deque((process,))
+                                    heappush(times, request)
+                                else:
+                                    later.append(process)
+                                queue.n += 1
+                                break
+                            if request != time:
+                                time = request
+                                self.now = request
+                            value = request
+                            continue
+                        if request is _FINISHED:
+                            self._n_live -= 1
+                            process._finish()
                             break
-                        if request != time:
-                            time = request
-                            self.now = request
-                        value = request
-                        continue
-                    if request is _FINISHED:
-                        self._n_live -= 1
-                        process._finish()
+                        if request is BLOCK:
+                            process.blocked = True
+                            self._n_parked += 1
+                            self._parked_processes.add(process)
+                            break
+                        raise SimulationError(
+                            f"{process.name} yielded {request!r}; "
+                            f"expected int time or BLOCK"
+                        )
+                    if self.stop:
                         break
-                    if request is BLOCK:
-                        process.blocked = True
-                        self._n_parked += 1
-                        self._parked_processes.add(process)
-                        break
-                    raise SimulationError(
-                        f"{process.name} yielded {request!r}; "
-                        f"expected int time or BLOCK"
-                    )
         finally:
             self.stop = False
             self.steps += steps

@@ -71,16 +71,10 @@ class CacheUnit:
         self._sets: list[OrderedDict[int, LineState]] = [
             OrderedDict() for _ in range(self.n_sets)
         ]
-        # Set selection as shift + mask when the geometry allows (it
-        # always does for the paper's power-of-two caches); the div/mod
-        # fallback keeps exotic configs working.
-        if (self.line_bytes & (self.line_bytes - 1) == 0
-                and self.n_sets & (self.n_sets - 1) == 0):
-            self._set_shift = self.line_bytes.bit_length() - 1
-            self._set_mask = self.n_sets - 1
-        else:
-            self._set_shift = None
-            self._set_mask = 0
+        # Set selection is a shift and a mask: ChipConfig.validate
+        # rejects line sizes and set counts that are not powers of two.
+        self._set_shift = self.line_bytes.bit_length() - 1
+        self._set_mask = self.n_sets - 1
         self._scratchpad = bytearray()
         #: Optional coherence-sanitizer observer (repro.sanitizer). It is
         #: notified of evictions, invalidates, and flushes — the events
@@ -114,9 +108,7 @@ class CacheUnit:
         return self.scratchpad_ways * self.n_sets * self.line_bytes
 
     def _set_index(self, line_addr: int) -> int:
-        if self._set_shift is not None:
-            return (line_addr >> self._set_shift) & self._set_mask
-        return (line_addr // self.line_bytes) % self.n_sets
+        return (line_addr >> self._set_shift) & self._set_mask
 
     # ------------------------------------------------------------------
     # Partitioning (Section 2.1 fast-memory feature)

@@ -45,6 +45,7 @@ from repro.memory.bank import MemoryBank
 from repro.memory.cache import CacheUnit
 from repro.memory.interest_groups import InterestGroup
 from repro.memory.offchip import OffChipMemory
+from repro.memory.scramble import scramble64
 from repro.memory.switch import CrossbarSwitch, build_cache_switch
 
 
@@ -114,6 +115,10 @@ class MemorySubsystem:
         #: (and fewer than that decode successfully), so the dict can
         #: never grow past 256 entries.
         self._ig_cache: dict[int, InterestGroup] = {}
+        #: Member caches of each multi-cache interest-group byte (the
+        #: group's ``cache_set``), filled once per byte on the first
+        #: target-memo miss; bounded like ``_ig_cache``.
+        self._ig_members: dict[int, tuple[int, ...]] = {}
         self._line_shift = config.dcache_line_bytes.bit_length() - 1
         self._line_mask = ~(config.dcache_line_bytes - 1)
         #: Memoized target-cache resolution, keyed by
@@ -143,20 +148,29 @@ class MemorySubsystem:
         self._switch_bpc = self.cache_switch.bytes_per_cycle
         self._cache_access = [cache.access for cache in self.caches]
         self._trace_enabled = tracer.enabled
-        #: Hit-path inlining: with power-of-two cache geometry (always,
-        #: for the paper's configs) ``access()`` probes the tag sets
-        #: directly and only calls :meth:`CacheUnit.access` on a miss.
-        #: The ``_sets`` lists are created once per cache and mutated in
-        #: place, so hoisting them here stays coherent.
+        self._burst_cycles = config.burst_cycles
+        self._n_dcaches = config.n_dcaches
+        #: Hit-path inlining: ``access()`` probes the tag sets directly
+        #: (ChipConfig guarantees power-of-two line and set counts, so
+        #: the set index is a shift and a mask) and only calls
+        #: :meth:`CacheUnit.access` on a miss. The ``_sets`` lists are
+        #: created once per cache and mutated in place, so hoisting them
+        #: here stays coherent.
         self._cache_sets = [cache._sets for cache in self.caches]
         self._cset_shift = self.caches[0]._set_shift
         self._cset_mask = self.caches[0]._set_mask
-        #: In-flight line fills: (cache_id, line) -> completion time. A hit
-        #: on a line whose fill is still in flight waits for the fill —
-        #: the effect that penalizes the paper's cyclic partitioning,
-        #: where eight threads pile onto each line "while the cache line
-        #: is still being retrieved from main memory" (Section 3.2.2).
-        self._inflight: dict[tuple[int, int], int] = {}
+        #: In-flight line fills, keyed ``line * n_dcaches + cache_id`` (one
+        #: collision-free int per (cache, line): lines are multiples of
+        #: the line size and cache ids are below ``n_dcaches``) ->
+        #: completion time. A hit on a line whose fill is still in flight
+        #: waits for the fill — the effect that penalizes the paper's
+        #: cyclic partitioning, where eight threads pile onto each line
+        #: "while the cache line is still being retrieved from main
+        #: memory" (Section 3.2.2). An entry only matters while its line
+        #: is resident, so evictions, ``flush_line`` and
+        #: ``invalidate_line`` drop it: the table never outgrows the
+        #: resident lines of the timed path.
+        self._inflight: dict[int, int] = {}
         # access-kind counters (dense list; see the kind_counts property)
         self._kind_counts = [0] * len(_KIND_ORDER)
 
@@ -194,10 +208,18 @@ class MemorySubsystem:
         memo = self._target_memo
         target = memo.get(key)
         if target is None:
-            group = self.decode_group(ig_byte)
-            target = group.target_cache(
-                physical >> self._line_shift, self.config.n_dcaches, quad_id
-            )
+            # InterestGroup.target_cache, with the group's member tuple
+            # decoded once per byte instead of once per line.
+            members = self._ig_members.get(ig_byte)
+            if members is None:
+                members = self.decode_group(ig_byte).cache_set(
+                    self._n_dcaches, quad_id)
+                self._ig_members[ig_byte] = members
+            if len(members) == 1:
+                target = members[0]
+            else:
+                target = members[scramble64(physical >> self._line_shift)
+                                 & (len(members) - 1)]
             if len(memo) >= self._TARGET_MEMO_MAX:
                 memo.clear()
             memo[key] = target
@@ -225,16 +247,20 @@ class MemorySubsystem:
         # Guarded bounds test: `physical` is non-negative by masking, so
         # one comparison against the cached max-memory register suffices;
         # the slow call only runs to raise the detailed fault.
-        if physical + size > self.address_map._max_memory:
-            self.address_map.check(physical, size)
-        line = physical & self._line_mask
+        address_map = self.address_map
+        if physical + size > address_map._max_memory:
+            address_map.check(physical, size)
+        line_mask = self._line_mask
+        line = physical & line_mask
         if ig_byte == 0:  # OWN: the requester's own quad cache
             target = quad_id
             local = True
         else:
             # Inlined memo probe of target_cache(); the method runs only
-            # to fill (or refresh) the bounded memo.
-            target = self._target_memo.get((ig_byte << IG_SHIFT) | line)
+            # to fill (or refresh) the bounded memo. Its key,
+            # ``(ig_byte << IG_SHIFT) | line``, is the line-aligned
+            # effective address.
+            target = self._target_memo.get(effective & line_mask)
             if target is None:
                 target = self.target_cache(ig_byte, physical, quad_id)
             local = target == quad_id
@@ -267,33 +293,23 @@ class MemorySubsystem:
         # dominant outcome — touches the OrderedDict set and two
         # counters and allocates nothing; only misses pay for the full
         # CacheUnit.access victim/allocation logic.
-        hit = False
-        if self._cset_shift is not None:
-            lines = self._cache_sets[target][
-                (line >> self._cset_shift) & self._cset_mask
-            ]
-            state = lines.get(line)
-            if state is not None:
-                lines.move_to_end(line)
-                cache = self.caches[target]
-                if is_store:
-                    state.dirty = True
-                    cache.store_hits += 1
-                else:
-                    cache.hits += 1
-                hit = True
+        inflight = self._inflight
+        lines = self._cache_sets[target][
+            (line >> self._cset_shift) & self._cset_mask
+        ]
+        state = lines.get(line)
+        if state is not None:
+            lines.move_to_end(line)
+            cache = self.caches[target]
+            if is_store:
+                state.dirty = True
+                cache.store_hits += 1
             else:
-                result = self._cache_access[target](line, is_store)
-        else:
-            result = self._cache_access[target](line, is_store)
-            hit = result.hit
-
-        if hit:
+                cache.hits += 1
             kind_index = _LOCAL_HIT if local else _REMOTE_HIT
             complete = issue_end + self._hit_extra[local]
-            inflight = self._inflight
             if inflight:
-                fill_key = (target, line)
+                fill_key = line * self._n_dcaches + target
                 fill_done = inflight.get(fill_key)
                 if fill_done is not None:
                     if issue_end < fill_done:
@@ -303,25 +319,29 @@ class MemorySubsystem:
                     else:
                         del inflight[fill_key]
         else:
+            result = self._cache_access[target](line, is_store)
             kind_index = _LOCAL_MISS if local else _REMOTE_MISS
             fetch_on_miss = (not is_store) or self._fetch_store_miss
             queue_delay = 0
             if fetch_on_miss:
-                bank = self.banks[self.address_map.bank_of(line)]
+                bank = self.banks[address_map.bank_of(line)]
                 done = bank.read_burst(issue_end)
-                queue_delay = done - issue_end - self.config.burst_cycles
+                queue_delay = done - issue_end - self._burst_cycles
                 if self.strict:
                     self._fill_line_buffer(self.caches[target], line)
-            if result.victim_dirty and result.victim_line is not None:
-                self._write_back(issue_end, result.victim_line,
-                                 result.victim_data)
+            victim_line = result.victim_line
+            if victim_line is not None:
+                inflight.pop(victim_line * self._n_dcaches + target, None)
+                if result.victim_dirty:
+                    self._write_back(issue_end, victim_line,
+                                     result.victim_data)
             if is_store and not fetch_on_miss:
                 # Write-validate: the line is allocated dirty; the store
                 # itself completes as soon as it issues.
                 complete = issue_end
             else:
                 complete = issue_end + self._miss_extra[local] + queue_delay
-                self._inflight[(target, line)] = complete
+                inflight[line * self._n_dcaches + target] = complete
         self._kind_counts[kind_index] += 1
         kind = _KIND_AT[kind_index]
         if self._trace_enabled:
@@ -353,20 +373,19 @@ class MemorySubsystem:
             target = self._target_memo.get((ig_byte << IG_SHIFT) | line)
             if target is None:
                 target = self.target_cache(ig_byte, physical, quad_id)
-        if self._cset_shift is not None:
-            lines = self._cache_sets[target][
-                (line >> self._cset_shift) & self._cset_mask
-            ]
-            state = lines.get(line)
-            if state is not None:
-                lines.move_to_end(line)
-                cache = self.caches[target]
-                if is_store:
-                    state.dirty = True
-                    cache.store_hits += 1
-                else:
-                    cache.hits += 1
-                return
+        lines = self._cache_sets[target][
+            (line >> self._cset_shift) & self._cset_mask
+        ]
+        state = lines.get(line)
+        if state is not None:
+            lines.move_to_end(line)
+            cache = self.caches[target]
+            if is_store:
+                state.dirty = True
+                cache.store_hits += 1
+            else:
+                cache.hits += 1
+            return
         self._cache_access[target](line, is_store)
 
     def _write_back(self, time: int, victim_line: int,
@@ -520,6 +539,7 @@ class MemorySubsystem:
             # advances (the cache's own invalidate hook is a discard).
             self.sanitizer.on_flush_line(target, line)
         state = cache.invalidate(line)
+        self._inflight.pop(line * self._n_dcaches + target, None)
         if state is not None and state.dirty:
             bank = self.banks[self.address_map.bank_of(line)]
             done = bank.write_burst(complete)
@@ -545,6 +565,7 @@ class MemorySubsystem:
         row = self.config.latency.mem_local_hit if local \
             else self.config.latency.mem_remote_hit
         self.caches[target].invalidate(line)
+        self._inflight.pop(line * self._n_dcaches + target, None)
         kind = AccessKind.LOCAL_HIT if local else AccessKind.REMOTE_HIT
         return AccessOutcome(issue_end, issue_end + row[1], kind, target)
 

@@ -24,8 +24,40 @@ Conventions:
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from repro.memory.address import PHYSICAL_MASK, make_effective
 from repro.memory.interest_groups import IG_ALL
+
+
+def _private_op(row: str, doc: str):
+    """A :class:`ThreadCtx` method issuing one op on thread-private
+    hardware, costed by the latency-table row named *row*.
+
+    ``_earliest`` and ``ThreadUnit.execute_local`` (``issue_at`` +
+    ``retire``) inlined: workloads charge a branch or an ALU op per loop
+    iteration, and four method frames cost more than the accounting.
+    """
+    row_of = attrgetter(row)
+
+    def op(self, deps: tuple = ()) -> int:
+        execution, latency = row_of(self.lat)
+        tu = self.tu
+        counters = tu.counters
+        issue = clock = tu.issue_time
+        for dep in deps:
+            if dep > issue:
+                issue = dep
+        if issue > clock:
+            counters.stall_cycles += issue - clock
+            counters.stall_events += 1
+        tu.issue_time = issue + execution
+        counters.instructions += 1
+        counters.run_cycles += execution
+        return issue + execution + latency
+
+    op.__doc__ = doc
+    return op
 
 
 class ThreadCtx:
@@ -409,21 +441,13 @@ class ThreadCtx:
     # ------------------------------------------------------------------
     # Thread-private operations (plain methods)
     # ------------------------------------------------------------------
-    def int_alu(self, deps: tuple = ()) -> int:
-        """A one-cycle fixed-point/register op on the private ALU."""
-        return self.tu.execute_local(self._earliest(deps), self.lat.other)
-
-    def int_mul(self, deps: tuple = ()) -> int:
-        """Integer multiply on the private ALU."""
-        return self.tu.execute_local(self._earliest(deps), self.lat.int_multiply)
-
-    def int_div(self, deps: tuple = ()) -> int:
-        """Integer divide (non-pipelined, occupies the thread)."""
-        return self.tu.execute_local(self._earliest(deps), self.lat.int_divide)
-
-    def branch(self, deps: tuple = ()) -> int:
-        """A (conditional) branch: two cycles in the sequencer."""
-        return self.tu.execute_local(self._earliest(deps), self.lat.branch)
+    int_alu = _private_op(
+        "other", "A one-cycle fixed-point/register op on the private ALU.")
+    int_mul = _private_op("int_multiply", "Integer multiply on the private ALU.")
+    int_div = _private_op(
+        "int_divide", "Integer divide (non-pipelined, occupies the thread).")
+    branch = _private_op(
+        "branch", "A (conditional) branch: two cycles in the sequencer.")
 
     def charge_ops(self, count: int) -> int:
         """Charge *count* independent one-cycle private ops in bulk.

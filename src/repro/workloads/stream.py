@@ -41,7 +41,7 @@ import numpy as np
 from repro.config import ChipConfig
 from repro.core.chip import Chip
 from repro.errors import WorkloadError
-from repro.memory.address import make_effective
+from repro.memory.address import IG_SHIFT, make_effective
 from repro.memory.interest_groups import IG_ALL, InterestGroup, Level
 from repro.runtime.kernel import AllocationPolicy, Kernel
 from repro.workloads.common import TimedSection, block_ranges, cyclic_group_indices
@@ -207,50 +207,51 @@ def _triad_loop(ctx, ea_x, ea_y, ea_dst, scalar, unroll):
     ty = [0] * unroll
     vx = [0.0] * unroll
     vy = [0.0] * unroll
-    begin = ctx.op_begin
     load_finish = ctx.load_f64_finish
     store_finish = ctx.store_f64_finish
     fma_finish = ctx.fp_fma_finish
     tu = ctx.tu
     while k < n:
         u = unroll if k + unroll <= n else n - k
+        # op_begin inlined: a load with no deps issues at the thread
+        # clock, a dependent op at the latest of clock and operands.
         for j in range(u):
-            # A load with no deps issues at the thread clock; yielding
-            # it directly skips an op_begin call per element.
             now = yield tu.issue_time
             tx[j], vx[j] = load_finish(now, ea_x[k + j])
             now = yield tu.issue_time
             ty[j], vy[j] = load_finish(now, ea_y[k + j])
         for j in range(u):
-            now = yield begin((tx[j], ty[j]))
+            now = yield max(tu.issue_time, tx[j], ty[j])
             tx[j] = fma_finish(now)
         for j in range(u):
-            now = yield begin((tx[j],))
+            now = yield max(tu.issue_time, tx[j])
             store_finish(now, ea_dst[k + j], vx[j] + scalar * vy[j])
         ctx.charge_ops(OVERHEAD_INT_OPS)
         ctx.branch()
         k += u
 
 
-def _kernel_pass(ctx, kernel, eas, unroll):
-    """One full pass of *kernel* over this thread's element addresses."""
+def _kernel_loop(kernel, eas, unroll):
+    """*kernel*'s loop function and its arguments after ``ctx``."""
     ea_a, ea_b, ea_c = eas
     if kernel == "copy":
-        yield from _copy_loop(ctx, ea_a, ea_c, unroll)
-    elif kernel == "scale":
-        yield from _scale_loop(ctx, ea_c, ea_b, SCALAR, unroll)
-    elif kernel == "add":
-        yield from _add_loop(ctx, ea_a, ea_b, ea_c, unroll)
-    else:  # triad
-        yield from _triad_loop(ctx, ea_b, ea_c, ea_a, SCALAR, unroll)
+        return _copy_loop, (ea_a, ea_c, unroll)
+    if kernel == "scale":
+        return _scale_loop, (ea_c, ea_b, SCALAR, unroll)
+    if kernel == "add":
+        return _add_loop, (ea_a, ea_b, ea_c, unroll)
+    return _triad_loop, (ea_b, ea_c, ea_a, SCALAR, unroll)
 
 
 def _thread_body(ctx, kernel, eas, unroll, warmup, start_barrier, section):
+    # The loop is chosen once and delegated to directly: every generator
+    # level between the scheduler and the loop costs each resumption.
+    loop, args = _kernel_loop(kernel, eas, unroll)
     if warmup:
-        yield from _kernel_pass(ctx, kernel, eas, unroll)
+        yield from loop(ctx, *args)
     yield from start_barrier.wait(ctx)
     section.record_start(ctx.software_index, ctx.time)
-    yield from _kernel_pass(ctx, kernel, eas, unroll)
+    yield from loop(ctx, *args)
     section.record_finish(ctx.software_index, ctx.time)
 
 
@@ -258,8 +259,18 @@ def _thread_body(ctx, kernel, eas, unroll, warmup, start_barrier, section):
 # The driver
 # ---------------------------------------------------------------------------
 def _element_addresses(base: int, indices, ig_byte: int) -> list[int]:
-    """Precompute each element's effective address (the address stream)."""
-    return [make_effective(base + 8 * i, ig_byte) for i in indices]
+    """Precompute each element's effective address (the address stream).
+
+    Validating the lowest and highest element covers every one between
+    (``make_effective`` raises :class:`AddressError`); the rest are
+    plain adds onto the validated base.
+    """
+    if not indices:
+        return []
+    make_effective(base + 8 * min(indices), ig_byte)
+    make_effective(base + 8 * max(indices), ig_byte)
+    first = (ig_byte << IG_SHIFT) + base
+    return [first + 8 * i for i in indices]
 
 
 def _auto_warmup(params: StreamParams, config: ChipConfig) -> bool:

@@ -82,6 +82,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ChipConfig(dcache_line_bytes=48)
 
+    def test_set_count_power_of_two(self):
+        # 24 KB of 64-byte lines in 8 ways is 48 sets.
+        with pytest.raises(ConfigError, match="set count 48"):
+            ChipConfig(dcache_bytes=24 * 1024)
+
     def test_banks_power_of_two(self):
         with pytest.raises(ConfigError):
             ChipConfig(n_memory_banks=12)

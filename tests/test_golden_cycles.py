@@ -1,7 +1,7 @@
 """Golden cycle-count regression tests.
 
-The engine fast paths (run-list scheduling, generated-block dispatch,
-allocation-free memory accesses) are pure host-side optimizations: they
+The engine fast paths (calendar-queue scheduling, generated-block
+dispatch, allocation-free memory accesses) are host-side only: they
 must not move a single simulated cycle. These tests pin the **exact**
 final cycle counts of representative runs — Table 2 microbenchmark
 chains through the ISA interpreter, and the paper workloads through the
@@ -105,6 +105,47 @@ def test_stream_triad_cyclic_golden():
         kernel="triad", n_elements=512, n_threads=8, partition="cyclic",
     ))
     assert result.cycles == 2253
+
+
+#: 126-thread triad at 64 elements per thread (so the auto warm-up pass
+#: runs): every thread resumes at the same cycles, which makes these the
+#: densest same-cycle tie groups the event queue sees. Each golden is
+#: (cycles, retired instructions, kind_counts by AccessKind value,
+#: cache-switch contention cycles).
+_STREAM126 = [
+    ("blocked", {"partition": "block"},
+     (2507, 192190,
+      {"local_hit": 1558, "local_miss": 106, "remote_hit": 43724,
+       "remote_miss": 2996, "scratchpad": 0}, 10833)),
+    ("local", {"partition": "block", "local_caches": True},
+     (1607, 192330,
+      {"local_hit": 45360, "local_miss": 3024, "remote_hit": 0,
+       "remote_miss": 0, "scratchpad": 0}, 15498)),
+    ("cyclic", {"partition": "cyclic"},
+     (3068, 165102,
+      {"local_hit": 1428, "local_miss": 88, "remote_hit": 43908,
+       "remote_miss": 2960, "scratchpad": 0}, 42880)),
+]
+
+
+@pytest.mark.parametrize(
+    "mode,golden", [case[1:] for case in _STREAM126],
+    ids=[case[0] for case in _STREAM126],
+)
+def test_stream_triad_126_thread_golden(mode, golden):
+    chip = Chip()
+    result = run_stream(StreamParams(
+        kernel="triad", n_elements=64 * 126, n_threads=126, **mode,
+    ), chip=chip)
+    assert result.verified
+    memory = chip.memory
+    observed = (
+        result.cycles,
+        sum(tu.counters.instructions for tu in chip.threads),
+        {kind.value: n for kind, n in memory.kind_counts.items()},
+        memory.cache_switch.contention_cycles,
+    )
+    assert observed == golden
 
 
 def test_fft_hw_barrier_golden():

@@ -265,6 +265,39 @@ class TestInflightFills:
         late_hit = ms.access(miss.complete + 10, 0, ea, 8, False)
         assert late_hit.complete - late_hit.issue_end == 6
 
+    def test_evicted_line_drops_its_fill(self):
+        ms = fresh()
+        ig = InterestGroup(Level.ONE, 0).encode()
+        stride = CFG.dcache_sets * CFG.dcache_line_bytes  # same set
+        for way in range(CFG.dcache_ways + 1):
+            ms.access(0, 0, make_effective(way * stride, ig), 8, False)
+        # The first line was evicted by the last miss; its fill entry
+        # went with it.
+        assert len(ms._inflight) == CFG.dcache_ways
+
+    def test_flush_and_invalidate_drop_the_fill(self):
+        ms = fresh()
+        ig = InterestGroup(Level.ONE, 0).encode()
+        ms.access(0, 0, make_effective(0x8000, ig), 8, False)
+        ms.access(0, 0, make_effective(0x9000, ig), 8, False)
+        ms.flush_line(1, 0, make_effective(0x8000, ig))
+        ms.invalidate_line(1, 0, make_effective(0x9000, ig))
+        assert not ms._inflight
+
+    def test_inflight_bounded_by_resident_lines(self):
+        """Out-of-cache cyclic STREAM thrashes every cache; fill entries
+        must not outlive the lines they describe."""
+        from repro.core.chip import Chip
+        from repro.workloads.stream import StreamParams, run_stream
+
+        chip = Chip()
+        run_stream(StreamParams(kernel="triad", n_elements=400 * 126,
+                                n_threads=126, partition="cyclic"),
+                   chip=chip)
+        memory = chip.memory
+        resident = sum(cache.resident_lines for cache in memory.caches)
+        assert 0 < len(memory._inflight) <= resident
+
 
 class TestAtomics:
     def test_rmw_semantics(self):

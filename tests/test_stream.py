@@ -4,13 +4,16 @@ paper's qualitative performance relationships."""
 import pytest
 
 from repro.config import ChipConfig
-from repro.errors import WorkloadError
+from repro.errors import AddressError, WorkloadError
+from repro.memory.address import PHYSICAL_MASK, make_effective
+from repro.memory.interest_groups import IG_ALL, InterestGroup, Level
 from repro.runtime.kernel import AllocationPolicy
 from repro.workloads.common import block_ranges, cyclic_group_indices
 from repro.workloads.stream import (
     BYTES_PER_ELEMENT,
     STREAM_KERNELS,
     StreamParams,
+    _element_addresses,
     run_stream,
 )
 
@@ -44,6 +47,18 @@ class TestPartitioning:
     def test_zero_threads_rejected(self):
         with pytest.raises(WorkloadError):
             block_ranges(10, 0)
+
+
+class TestElementAddresses:
+    @pytest.mark.parametrize("indices", [range(5, 40), [3, 11, 19, 27], []])
+    def test_matches_make_effective(self, indices):
+        ig = InterestGroup(Level.ONE, 7).encode()
+        assert _element_addresses(0x4000, indices, ig) == \
+            [make_effective(0x4000 + 8 * i, ig) for i in indices]
+
+    def test_highest_element_is_validated(self):
+        with pytest.raises(AddressError):
+            _element_addresses(PHYSICAL_MASK - 15, range(3), IG_ALL)
 
 
 class TestParamValidation:
