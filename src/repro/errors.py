@@ -88,10 +88,6 @@ class ExploreError(CyclopsError):
     """An invalid :class:`~repro.explore.ChipSpec` or sweep grid."""
 
 
-class ServeError(CyclopsError):
-    """A serving-layer failure: bad request, rejected submission, protocol."""
-
-
 class PdesError(SimulationError):
     """The parallel-DES layer cannot partition or run this simulation."""
 

@@ -7,22 +7,19 @@ Subcommands::
     run all -o out/      also write one report file per experiment
     run <id> --json f    also write machine-readable results as JSON
     run all -j 4         fan out through the repro.jobs worker pool
-    run all --serve URL  execute remotely on a repro.serve server
 
-With ``--serve URL`` each experiment is submitted to a running
-``python -m repro.serve`` instance (see ``docs/serving.md``): the
-server owns pooling, result caching, and admission control, and this
-process only renders what comes back — including warm-cache results
-that never re-simulate. With ``-j N`` the experiments run through
-:mod:`repro.jobs`: whole
-experiments become jobs (and the decomposable sweeps — fig3, family,
+Every run goes through one :class:`~repro.jobs.pool.JobRunner`: whole
+experiments become jobs, and the decomposable sweeps — fig3, family,
 saturation, bandwidth, contention — fan out their individual
-simulation points), results are cached by
-content so a re-run only simulates what changed, and a crashing or
-hanging experiment no longer takes ``run all`` down with it. Failures
-are collected and reported at the end; the exit code is 0 on success,
-1 when any experiment failed, and 2 for usage errors such as an
-unknown experiment id.
+simulation points through the same runner. Without ``-j`` it is the
+inline, cache-free ``JobRunner()``, so every experiment runs in this
+process (which is what ``--sampled`` and ``--sanitize`` rely on). With
+``-j N`` it is a pool of N workers whose results are cached by content,
+so a re-run only simulates what changed, and a crashing or hanging
+experiment no longer takes ``run all`` down with it. Failures are
+collected and reported at the end; the exit code is 0 on success, 1
+when any experiment failed or the sanitizer found anything, and 2 for
+usage errors such as an unknown experiment id.
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ from repro.experiments.registry import (
 from repro.jobs.cache import ResultCache
 from repro.jobs.pool import JobEvent, JobRunner
 from repro.jobs.spec import jsonify
-from repro.telemetry.metrics import MetricsRegistry
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,11 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--retries", type=int, default=2,
                          help="with -j: attempts after a crash/timeout "
                               "(default 2)")
-    run_cmd.add_argument("--serve", default=None, metavar="URL",
-                         help="execute experiments remotely on a "
-                              "repro.serve server (e.g. "
-                              "http://127.0.0.1:8642); mutually "
-                              "exclusive with -j and --sanitize")
     run_cmd.add_argument("--sampled", nargs="?", const="1", default=None,
                          metavar="SPEC",
                          help="set CYCLOPS_SAMPLE around the run: '1' for "
@@ -94,8 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               "like 'period=16384,measure=256' (see "
                               "docs/sampled-sim.md); only ISA-interpreter "
                               "experiments sample — kernel-closure "
-                              "workloads reject it; incompatible with -j "
-                              "and --serve")
+                              "workloads reject it; incompatible with -j")
     run_cmd.add_argument("--sanitize", action="store_true",
                          help="run under the coherence sanitizer (see "
                               "docs/memory-model.md); incompatible with "
@@ -134,27 +124,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.jobs is not None and args.jobs < 1:
         print(f"error: -j must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
-    if args.serve and args.jobs is not None:
-        print("error: --serve executes remotely; drop -j", file=sys.stderr)
-        return 2
-    if args.serve and args.sanitize:
-        print("error: --sanitize requires local serial execution "
-              "(drop --serve)", file=sys.stderr)
-        return 2
     if args.sampled is not None and args.jobs is not None:
         # Worker processes do not inherit a mutated parent environment
         # through the job specs; refuse rather than silently run exact.
         print("error: --sampled requires serial execution (drop -j)",
               file=sys.stderr)
         return 2
-    if args.sampled is not None and args.serve:
-        print("error: --sampled is a local environment override; the "
-              "serve server runs its own (drop --serve)", file=sys.stderr)
-        return 2
     if args.sanitize and args.jobs is not None:
         # Worker processes would collect findings in their own session
         # rosters and silently drop them; refuse rather than mislead.
         print("error: --sanitize requires serial execution (drop -j)",
+              file=sys.stderr)
+        return 2
+    if args.sanitize_report and not args.sanitize:
+        print("error: --sanitize-report requires --sanitize",
               file=sys.stderr)
         return 2
     if args.sanitize:
@@ -182,52 +165,23 @@ def main(argv: list[str] | None = None) -> int:
             json_reports[experiment_id] = entry
 
     failures: dict[str, str] = {}
-    use_jobs = args.jobs is not None
-    runner = None
-    serve_stats = None
-    if args.serve:
-        # Remote execution: each experiment becomes one /submit request;
-        # the server owns pooling, caching, and admission control.
-        from repro.errors import ServeError
-        from repro.serve.client import ServeClient
-
-        client = ServeClient(args.serve)
-        serve_stats = {"requests": 0, "cached": 0, "failed": 0}
-        for experiment_id in ids:
-            started = time.time()
-            spec = experiment_spec(experiment_id, args.quick)
-            try:
-                outcome = client.submit_with_retry({"spec": spec.to_dict()})[0]
-            except (ServeError, OSError) as error:
-                failures[experiment_id] = (
-                    f"remote execution on {args.serve} failed: {error}")
-                continue
-            serve_stats["requests"] += 1
-            if outcome.get("ok"):
-                if outcome.get("cached"):
-                    serve_stats["cached"] += 1
-                emit(experiment_id,
-                     ExperimentReport.from_dict(outcome["value"]),
-                     time.time() - started)
-            else:
-                serve_stats["failed"] += 1
-                failures[experiment_id] = \
-                    outcome.get("error") or "remote job failed"
-    elif use_jobs:
-        cache = None
-        if not args.no_cache:
-            cache = ResultCache(args.cache_dir) if args.cache_dir \
-                else ResultCache.default()
-        runner = JobRunner(
-            n_workers=args.jobs,
-            cache=cache,
-            timeout=args.job_timeout,
-            retries=args.retries,
-            metrics=MetricsRegistry(),
-            on_event=_progress,
-        )
-        plain = [i for i in ids if i not in FANOUT_EXPERIMENTS]
-        fanout = [i for i in ids if i in FANOUT_EXPERIMENTS]
+    cache = None
+    if args.jobs is not None and not args.no_cache:
+        cache = ResultCache(args.cache_dir) if args.cache_dir \
+            else ResultCache.default()
+    runner = JobRunner(
+        n_workers=args.jobs or 1,
+        cache=cache,
+        timeout=args.job_timeout,
+        retries=args.retries,
+        on_event=_progress,
+    )
+    plain = [i for i in ids if i not in FANOUT_EXPERIMENTS]
+    fanout = [i for i in ids if i in FANOUT_EXPERIMENTS]
+    sample_before = os.environ.get("CYCLOPS_SAMPLE")
+    if args.sampled is not None:
+        os.environ["CYCLOPS_SAMPLE"] = args.sampled
+    try:
         specs = [experiment_spec(i, args.quick) for i in plain]
         for experiment_id, result in zip(plain, runner.run(specs)):
             if result.ok:
@@ -244,26 +198,12 @@ def main(argv: list[str] | None = None) -> int:
                 failures[experiment_id] = traceback.format_exc(limit=20)
             else:
                 emit(experiment_id, report, time.time() - started)
-    else:
-        sample_before = os.environ.get("CYCLOPS_SAMPLE")
+    finally:
         if args.sampled is not None:
-            os.environ["CYCLOPS_SAMPLE"] = args.sampled
-        try:
-            for experiment_id in ids:
-                driver = get_experiment(experiment_id)
-                started = time.time()
-                try:
-                    report = driver(quick=args.quick)
-                except Exception:
-                    failures[experiment_id] = traceback.format_exc(limit=20)
-                else:
-                    emit(experiment_id, report, time.time() - started)
-        finally:
-            if args.sampled is not None:
-                if sample_before is None:
-                    os.environ.pop("CYCLOPS_SAMPLE", None)
-                else:
-                    os.environ["CYCLOPS_SAMPLE"] = sample_before
+            if sample_before is None:
+                os.environ.pop("CYCLOPS_SAMPLE", None)
+            else:
+                os.environ["CYCLOPS_SAMPLE"] = sample_before
 
     sanitizer_failed = False
     if args.sanitize:
@@ -283,10 +223,7 @@ def main(argv: list[str] | None = None) -> int:
         sanitizer_failed = bool(sanitizer_findings["total_findings"])
 
     if args.json:
-        if runner is not None:
-            json_reports["_jobs"] = dict(runner.stats)
-        if serve_stats is not None:
-            json_reports["_serve"] = serve_stats
+        json_reports["_jobs"] = dict(runner.stats)
         path = pathlib.Path(args.json)
         if path.parent != pathlib.Path("."):
             path.parent.mkdir(parents=True, exist_ok=True)

@@ -25,12 +25,7 @@ across workers; a warm rerun is served from the cache. See
 
 from repro.errors import JobError
 from repro.jobs.cache import ResultCache, stats_document
-from repro.jobs.pool import (
-    JobEvent,
-    JobResult,
-    JobRunner,
-    install_signal_handlers,
-)
+from repro.jobs.pool import JobEvent, JobResult, JobRunner
 from repro.jobs.spec import JobSpec, code_version, execute_spec, jsonify
 
 __all__ = [
@@ -42,7 +37,6 @@ __all__ = [
     "ResultCache",
     "code_version",
     "execute_spec",
-    "install_signal_handlers",
     "jsonify",
     "stats_document",
 ]

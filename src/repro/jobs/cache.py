@@ -144,9 +144,8 @@ def stats_document(cache: ResultCache) -> dict:
     The counters come from the ``last_run.state`` file the pool writes
     beside the cache (lifetime totals of the most recent
     :class:`~repro.jobs.pool.JobRunner`); a cache nobody has run
-    against reports zeros. This is the document behind both
-    ``python -m repro.jobs cache --json`` and the serving layer's
-    ``/stats`` endpoint.
+    against reports zeros. This is the document behind
+    ``python -m repro.jobs cache --json``.
     """
     document = cache.stats()
     state: dict = {}

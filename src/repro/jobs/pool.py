@@ -30,12 +30,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue as queue_module
-import signal as signal_module
-import threading
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import JobError
@@ -51,9 +49,6 @@ FORCE_INLINE_ENV = "REPRO_JOBS_FORCE_INLINE"
 
 #: How often the manager polls for results / deadlines / dead workers.
 _POLL_SECONDS = 0.02
-
-#: Error string of a job cancelled by a graceful shutdown.
-CANCELLED = "cancelled: runner stopping (graceful shutdown)"
 
 
 @dataclass
@@ -169,7 +164,6 @@ def _new_stats() -> dict:
         "respawns": 0,
         "timeouts": 0,
         "degraded": 0,
-        "cancelled": 0,
     }
 
 
@@ -178,9 +172,9 @@ class JobRunner:
 
     The default construction — ``JobRunner()`` — is a pure inline,
     cache-free executor whose behaviour is indistinguishable from
-    calling the tasks directly; drivers use it when no orchestration
-    context is supplied, which is what keeps ``-j 1`` and library-level
-    calls exactly as deterministic as before the subsystem existed.
+    calling the tasks directly. It is what ``python -m
+    repro.experiments run`` uses without ``-j``, and what drivers use
+    when no runner is supplied.
     """
 
     def __init__(
@@ -208,38 +202,6 @@ class JobRunner:
         self.start_method = start_method
         #: Lifetime counters, accumulated across every ``run`` call.
         self.stats = _new_stats()
-        self._stop_event = threading.Event()
-        self._stop_force = False
-
-    # ------------------------------------------------------------------
-    # Graceful shutdown
-    # ------------------------------------------------------------------
-    @property
-    def stopping(self) -> bool:
-        """True once :meth:`request_stop` has been called."""
-        return self._stop_event.is_set()
-
-    def request_stop(self, force: bool = False) -> None:
-        """Ask a running batch to wind down (thread- and signal-safe).
-
-        Graceful (default): nothing new is dispatched, jobs already on a
-        worker run to completion, then the workers are joined and every
-        undispatched job resolves with a :data:`CANCELLED` error. With
-        ``force=True`` the in-flight jobs are killed too — the recourse
-        when a drain deadline has passed. Once stopped, later ``run``
-        calls cancel their whole batch immediately.
-        """
-        if force:
-            self._stop_force = True
-        self._stop_event.set()
-
-    def _cancel(self, results, state: "_JobState") -> None:
-        self.stats["cancelled"] += 1
-        self.metrics.counter("jobs.cancelled").inc()
-        self._finish_error(results, state, CANCELLED)
-
-    def _kill_worker(self, worker: "_Worker") -> None:
-        kill_process(worker.process)
 
     # ------------------------------------------------------------------
     def _emit(self, kind: str, index: int, spec: JobSpec | None = None,
@@ -337,9 +299,6 @@ class JobRunner:
     def _run_inline(self, specs, indices, results) -> None:
         """Sequential in-process execution (no isolation, no timeout)."""
         for index in indices:
-            if self._stop_event.is_set():
-                self._cancel(results, _JobState(index, specs[index]))
-                continue
             state = _JobState(index, specs[index], attempts=1)
             self._emit("start", index, state.spec, 1)
             try:
@@ -363,10 +322,6 @@ class JobRunner:
         return _Worker(process=process, task_queue=task_queue)
 
     def _run_pool(self, specs, indices, results) -> None:
-        if self._stop_event.is_set():
-            for index in indices:
-                self._cancel(results, _JobState(index, specs[index]))
-            return
         ctx = multiprocessing.get_context(self.start_method)
         n = min(self.n_workers, len(indices))
         result_queue = ctx.Queue()
@@ -417,19 +372,6 @@ class JobRunner:
                    results, respawn_budget) -> None:
         respawns = 0
         while any(not state.finished for state in jobs.values()):
-            if self._stop_event.is_set():
-                if self._stop_force:
-                    for worker in workers:
-                        if worker.busy is not None:
-                            self._kill_worker(worker)
-                            worker.busy = None
-                if all(worker.busy is None for worker in workers):
-                    # Drained (or force-killed): everything not yet
-                    # delivered resolves as cancelled.
-                    for state in jobs.values():
-                        if not state.finished:
-                            self._cancel(results, state)
-                    return
             now = time.monotonic()
             # Promote jobs whose backoff has elapsed.
             still = []
@@ -440,10 +382,8 @@ class JobRunner:
                     still.append(index)
             waiting[:] = still
 
-            # Dispatch to idle live workers (never while draining).
+            # Dispatch to idle live workers.
             for worker in workers:
-                if self._stop_event.is_set():
-                    break
                 if worker.busy is not None or not worker.process.is_alive():
                     continue
                 index = None
@@ -517,11 +457,7 @@ class JobRunner:
                     elif deadline is not None and now > deadline:
                         # Killing the process is the only way to stop a
                         # stuck simulation; the job pays one attempt.
-                        worker.process.terminate()
-                        worker.process.join(1.0)
-                        if worker.process.is_alive():
-                            worker.process.kill()
-                            worker.process.join(1.0)
+                        kill_process(worker.process)
                         worker.busy = None
                         respawns += 1
                         self.stats["respawns"] += 1
@@ -538,7 +474,7 @@ class JobRunner:
                             )
                         workers[position] = self._spawn_worker(
                             ctx, result_queue)
-                elif not alive and not self._stop_event.is_set():
+                elif not alive:
                     # An idle worker died: replace it quietly.
                     respawns += 1
                     self.stats["respawns"] += 1
@@ -578,35 +514,3 @@ class JobRunner:
             path.write_text(json.dumps(self.stats, indent=2, sort_keys=True))
         except OSError:
             pass
-
-
-def install_signal_handlers(
-    runner: JobRunner,
-    signals: tuple[int, ...] = (signal_module.SIGINT, signal_module.SIGTERM),
-) -> Callable[[], None]:
-    """Wire SIGINT/SIGTERM to a graceful drain of *runner*.
-
-    The first signal calls :meth:`JobRunner.request_stop` — in-flight
-    jobs finish, workers are joined, nothing is orphaned. A second
-    signal escalates to ``force=True``, killing the in-flight jobs too.
-    Returns a zero-argument function that restores the previous
-    handlers. Only callable from the main thread (a CPython
-    ``signal.signal`` constraint); asyncio servers should use
-    ``loop.add_signal_handler`` with the same ``request_stop`` calls
-    instead.
-    """
-    previous: dict[int, object] = {}
-    hits = {"count": 0}
-
-    def _handler(signum, frame):
-        hits["count"] += 1
-        runner.request_stop(force=hits["count"] > 1)
-
-    for signum in signals:
-        previous[signum] = signal_module.signal(signum, _handler)
-
-    def restore() -> None:
-        for signum, handler in previous.items():
-            signal_module.signal(signum, handler)
-
-    return restore

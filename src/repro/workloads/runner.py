@@ -174,6 +174,10 @@ def _run(args) -> tuple[object, Chip | None]:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     args = _build_parser().parse_args(argv)
+    if args.sanitize_report and not args.sanitize:
+        print("error: --sanitize-report requires --sanitize",
+              file=sys.stderr)
+        return 2
     if args.sanitize:
         # Chips are built inside the workload drivers, so the switch is
         # session-global; the session roster collects every sanitizer.

@@ -52,6 +52,9 @@ class TestQuickRuns:
         assert len(report.series) == 6
         for series in report.series:
             assert series.y[0] == pytest.approx(1.0)
+        m = report.measurements
+        # Paper shape: Ocean scales better than Radix at the top count.
+        assert m["ocean_speedup_at_4"] > m["radix_speedup_at_4"]
 
     def test_fig4(self):
         report = get_experiment("fig4")(quick=True)
@@ -61,6 +64,11 @@ class TestQuickRuns:
         report = get_experiment("fig5")(quick=True)
         m = report.measurements
         assert m["best_local_gb_s"] > 0
+        # Paper shape: blocked edges out cyclic, the local caches beat
+        # both, and unrolling the local-cache loop beats them all.
+        assert m["best_blocked_gb_s"] > m["best_cyclic_gb_s"]
+        assert m["best_local_gb_s"] > m["best_blocked_gb_s"]
+        assert m["best_unrolled_local_gb_s"] > m["best_local_gb_s"]
 
     def test_fig6(self):
         report = get_experiment("fig6")(quick=True)
@@ -71,6 +79,11 @@ class TestQuickRuns:
     def test_fig7(self):
         report = get_experiment("fig7")(quick=True)
         assert len(report.tables) == 2
+        # Paper shape: the hardware barrier beats the software tree.
+        deltas = {k: v for k, v in report.measurements.items()
+                  if k.endswith("_total_delta_pct")}
+        assert deltas
+        assert all(v < 0 for v in deltas.values()), deltas
 
     def test_sampling(self):
         report = get_experiment("sampling")(quick=True)
@@ -115,12 +128,17 @@ class TestRunnerCli:
         assert main(["run", "table2", "-j", "0"]) == 2
         assert "-j must be >= 1" in capsys.readouterr().err
 
-    def test_sampled_flag_rejects_jobs_and_serve(self, capsys):
+    def test_sampled_flag_rejects_jobs(self, capsys):
         assert main(["run", "table2", "--sampled", "-j", "2"]) == 2
         assert "--sampled requires serial" in capsys.readouterr().err
-        assert main(["run", "table2", "--sampled",
-                     "--serve", "http://127.0.0.1:1"]) == 2
-        assert "--sampled" in capsys.readouterr().err
+
+    def test_sanitize_report_requires_sanitize(self, tmp_path, capsys):
+        report_path = tmp_path / "findings.json"
+        assert main(["run", "table2", "--quick", "--sanitize-report",
+                     str(report_path)]) == 2
+        assert "--sanitize-report requires --sanitize" \
+            in capsys.readouterr().err
+        assert not report_path.exists()
 
     def test_sampled_flag_sets_and_restores_env(self, capsys, monkeypatch):
         import os
@@ -172,7 +190,7 @@ class TestRunnerCli:
 
 
 class TestRunnerJobsMode:
-    """The -j path: pooled execution, caching, and diffable JSON."""
+    """The JobRunner path: pooled and inline runs, caching, diffable JSON."""
 
     def test_quick_json_omits_elapsed(self, tmp_path, capsys):
         path = tmp_path / "quick.json"
@@ -213,3 +231,21 @@ class TestRunnerJobsMode:
         assert cold_doc["_jobs"]["cache_hits"] == 0
         assert warm_doc["_jobs"]["cache_hits"] \
             == warm_doc["_jobs"]["submitted"]
+
+    @pytest.mark.parametrize("experiment_id", ["table2", "fig3"])
+    def test_plain_run_is_inline_and_cache_free(
+            self, experiment_id, tmp_path, capsys, monkeypatch):
+        """Without -j, plain and fan-out experiments alike go through the
+        inline JobRunner(): jobs are counted, the cache is never touched."""
+        cache_dir = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_JOBS_CACHE_DIR", str(cache_dir))
+        path = tmp_path / "plain.json"
+        assert main(["run", experiment_id, "--quick", "--json",
+                     str(path)]) == 0
+        capsys.readouterr()
+        document = json.loads(path.read_text())
+        assert experiment_id in document
+        stats = document["_jobs"]
+        assert stats["submitted"] >= 1
+        assert stats["cache_hits"] == stats["cache_misses"] == 0
+        assert not cache_dir.exists()

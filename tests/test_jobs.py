@@ -1,7 +1,6 @@
 """Tests for repro.jobs: specs, cache, pool, fault tolerance, CLI."""
 
 import json
-import os
 import time
 
 import pytest
@@ -12,11 +11,9 @@ from repro.jobs import (
     JobSpec,
     ResultCache,
     execute_spec,
-    install_signal_handlers,
     jsonify,
     stats_document,
 )
-from repro.jobs.pool import CANCELLED
 from repro.jobs.__main__ import main as jobs_main
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -382,90 +379,6 @@ class TestJobsCli:
         document = stats_document(cache)
         assert document["entries"] == 1
         assert document["hits"] == 1
-
-
-# ---------------------------------------------------------------------------
-# Graceful shutdown
-# ---------------------------------------------------------------------------
-class TestGracefulShutdown:
-    def test_inline_stop_cancels_remaining_jobs(self):
-        runner = JobRunner(n_workers=1)
-        specs = [JobSpec(task=SQUARE, payload={"n": n}) for n in range(6)]
-
-        def stop_after_two(event):
-            if event.kind == "done" and event.index == 1:
-                runner.request_stop()
-
-        runner.on_event = stop_after_two
-        results = runner.run(specs)
-        assert [r.ok for r in results[:2]] == [True, True]
-        assert all(not r.ok and r.error == CANCELLED for r in results[2:])
-        assert runner.stats["cancelled"] == 4
-        assert runner.stopping
-
-    def test_pooled_stop_drains_without_orphans(self):
-        import multiprocessing
-
-        runner = JobRunner(n_workers=2)
-        specs = [JobSpec(task="repro.jobs.testing:sleep",
-                         payload={"seconds": 0.05, "which": n})
-                 for n in range(8)]
-
-        def stop_on_first_done(event):
-            if event.kind == "done":
-                runner.request_stop()
-
-        runner.on_event = stop_on_first_done
-        results = runner.run(specs)
-        done = [r for r in results if r.ok]
-        cancelled = [r for r in results if not r.ok]
-        assert done, "at least the triggering job completed"
-        assert cancelled, "undispatched jobs were cancelled"
-        assert all(r.error == CANCELLED for r in cancelled)
-        assert runner.stats["cancelled"] == len(cancelled)
-        assert multiprocessing.active_children() == []
-
-    def test_stopped_runner_cancels_everything_up_front(self):
-        runner = JobRunner(n_workers=2)
-        runner.request_stop()
-        results = runner.run([JobSpec(task=SQUARE, payload={"n": 3})])
-        assert not results[0].ok and results[0].error == CANCELLED
-
-    def test_force_stop_kills_in_flight_jobs(self):
-        import multiprocessing
-        import threading
-
-        runner = JobRunner(n_workers=2)
-        specs = [JobSpec(task="repro.jobs.testing:sleep",
-                         payload={"seconds": 60, "which": n})
-                 for n in range(2)]
-
-        def stop_on_start(event):
-            if event.kind == "start" and event.index == 0:
-                threading.Thread(
-                    target=lambda: runner.request_stop(force=True)).start()
-
-        runner.on_event = stop_on_start
-        started = time.time()
-        results = runner.run(specs)
-        assert time.time() - started < 30, "force stop did not kill sleeps"
-        assert all(not r.ok for r in results)
-        assert multiprocessing.active_children() == []
-
-    def test_signal_handlers_request_stop_then_escalate(self):
-        import signal
-
-        runner = JobRunner(n_workers=1)
-        restore = install_signal_handlers(runner, signals=(signal.SIGTERM,))
-        try:
-            assert not runner.stopping
-            signal.raise_signal(signal.SIGTERM)
-            assert runner.stopping and not runner._stop_force
-            signal.raise_signal(signal.SIGTERM)
-            assert runner._stop_force
-        finally:
-            restore()
-        assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ from repro.config import ChipConfig
 from repro.errors import PdesError
 from repro.jobs import JobRunner
 from repro.pdes import CellProgram, PartitionMap
-from repro.pdes.domain import (CRASH_ENV, LEGACY_CRASH_ENV,
-                               crash_injection_target)
+from repro.pdes.domain import CRASH_ENV, crash_injection_target
 from repro.pdes.quadsplit import run_stream_sharded, split_config
 from repro.system.halo import HaloParams, run_halo
 from repro.system.multichip import _Mailbox, _Message
@@ -176,36 +175,22 @@ class TestFallback:
         assert "CellProgram" in system.pdes_fallback_reason
 
     def test_crash_env_spelling(self, monkeypatch):
-        """CYCLOPS_PDES_INJECT_CRASH is canonical; the pre-rename
-        REPRO_ spelling still works but warns."""
+        """CYCLOPS_PDES_INJECT_CRASH selects the domain, warning-free."""
         monkeypatch.delenv(CRASH_ENV, raising=False)
-        monkeypatch.delenv(LEGACY_CRASH_ENV, raising=False)
         assert crash_injection_target() is None
 
         monkeypatch.setenv(CRASH_ENV, "3")
         import warnings
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # new spelling: no warning
-            assert crash_injection_target() == "3"
-
-        monkeypatch.delenv(CRASH_ENV)
-        monkeypatch.setenv(LEGACY_CRASH_ENV, "2")
-        with pytest.deprecated_call():
-            assert crash_injection_target() == "2"
-
-        monkeypatch.setenv(CRASH_ENV, "3")  # new spelling wins
-        with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert crash_injection_target() == "3"
 
-    @pytest.mark.parametrize("env_name", [CRASH_ENV, LEGACY_CRASH_ENV])
     def test_killed_domain_degrades_to_serial_with_clear_error(
-            self, monkeypatch, env_name):
+            self, monkeypatch):
         """A domain that dies mid-protocol is retried once, then the
         run degrades to the serial engine — correct results, recorded
-        reason. Both env spellings must reach the injection point."""
-        monkeypatch.delenv(CRASH_ENV, raising=False)
-        monkeypatch.setenv(env_name, "1")
+        reason."""
+        monkeypatch.setenv(CRASH_ENV, "1")
         params = HaloParams(n_chips=2, band_elements=32, iterations=2,
                             threads_per_chip=2)
         result = run_halo(params, _small_config(), domains=2)

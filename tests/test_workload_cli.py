@@ -48,3 +48,11 @@ class TestWorkloadCli:
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
             main(["make-coffee"])
+
+    def test_sanitize_report_requires_sanitize(self, tmp_path, capsys):
+        report_path = tmp_path / "findings.json"
+        assert main(["stream", "--threads", "4", "--elements", "512",
+                     "--sanitize-report", str(report_path)]) == 2
+        assert "--sanitize-report requires --sanitize" \
+            in capsys.readouterr().err
+        assert not report_path.exists()
