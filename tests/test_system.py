@@ -1,6 +1,8 @@
 """Tests for the multi-chip cellular layer: topology, links, messaging,
 and the halo-exchange workload."""
 
+import hashlib
+
 import pytest
 
 from repro.config import ChipConfig
@@ -254,3 +256,55 @@ class TestHaloWorkload:
             HaloParams(n_chips=0)
         with pytest.raises(WorkloadError):
             HaloParams(band_elements=2)
+
+
+class TestHaloGolden:
+    """Pinned outcome of the serial multichip engine on two halo runs.
+
+    Cycles, link traffic, the final clock, every cell's start/finish
+    time and the full memory image of every chip must stay exactly as
+    recorded: any change to the scheduler, the mailbox select order or
+    the link fabric that moves a single cycle or byte shows up here.
+    """
+
+    _CHAIN_MEMORY = [
+        "7809dfc2b0c5a399d7566aac27dfe0cf8202a5e8a5120475af4ed8c1e905366d",
+        "e08d02ff8173da8a496f13457a2123e6f4b66231d2224b852f8a99f4b6ecf0e2",
+        "99db2eea03d735f5b209c3143a6aaa5f4092e675726bb04b4ffe11a6a6e915e1",
+        "042841523979c9e94f98f467e231c0a86da415bfc8b6156314ad0663f2ed3808",
+    ]
+
+    @staticmethod
+    def _run(mesh_ny: int):
+        from dataclasses import replace
+
+        config = replace(ChipConfig.small(), bank_bytes=64 * 1024)
+        return run_halo(HaloParams(n_chips=4, band_elements=48,
+                                   iterations=3, threads_per_chip=2,
+                                   mesh_ny=mesh_ny), config)
+
+    def _check(self, result, cycles, link_bytes, finishes) -> None:
+        system = result.system
+        assert result.verified
+        assert result.cycles == cycles
+        assert result.link_bytes == link_bytes
+        assert system.scheduler.now == cycles
+        times = {k: v for k, v in system.blackboard.items()
+                 if k.startswith(("halo.start:", "halo.finish:"))}
+        expected = {f"halo.start:{c}": 0 for c in range(4)}
+        expected.update({f"halo.finish:{c}": t
+                         for c, t in enumerate(finishes)})
+        assert times == expected
+        images = [hashlib.sha256(chip.memory.backing.read_block(
+            0, chip.memory.backing.size)).hexdigest()
+            for chip in system.chips]
+        assert images == self._CHAIN_MEMORY
+
+    def test_four_cell_chain(self):
+        self._check(self._run(1), 3093, 144, [3093, 3093, 3093, 3092])
+
+    def test_2x2_mesh(self):
+        # Chain neighbours (1, 0, 0) and (0, 1, 0) exchange over two
+        # hops; the data flow, and so every memory image, is the
+        # chain's.
+        self._check(self._run(2), 3141, 192, [3127, 3141, 3138, 3123])
