@@ -68,23 +68,6 @@ class EventQueue:
             bucket.append(payload)
         self.n += 1
 
-    def push_front(self, time: int, payload: Any) -> None:
-        """Schedule *payload* at *time*, ahead of every event already
-        queued at that time.
-
-        The one sanctioned exception to FIFO tie-breaking: a parallel-DES
-        domain re-queues a gated mailbox poll exactly where it was popped
-        from, so same-cycle events that originally sat behind it still
-        run after it (see :meth:`Scheduler.wake`).
-        """
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = deque((payload,))
-            heappush(self._times, time)
-        else:
-            bucket.appendleft(payload)
-        self.n += 1
-
     def pop(self) -> tuple[int, Any]:
         """Remove and return the earliest ``(time, payload)``."""
         times = self._times
@@ -104,16 +87,6 @@ class EventQueue:
         if self.n == 0:
             raise IndexError("peek into an empty event queue")
         return self._times[0]
-
-    def peek_time_or(self, default: int) -> int:
-        """Earliest scheduled time, or *default* when the queue is empty.
-
-        The safe-time horizon computation of :mod:`repro.pdes` calls
-        this every synchronization round; the explicit default avoids an
-        exception-driven control flow on the empty-domain path.
-        """
-        times = self._times
-        return times[0] if times else default
 
     def drain(self) -> Iterator[tuple[int, Any]]:
         """Pop everything in time order (useful in tests)."""

@@ -94,13 +94,6 @@ class Scheduler:
         #: Optional telemetry hook ``probe(queue_depth, now)`` called once
         #: per resumption; ``None`` (the default) costs one branch.
         self.probe: Callable[[int, int], None] | None = None
-        #: Cooperative window stop: a process may set this (and then
-        #: park) to make :meth:`run` return before popping the next
-        #: event. Used by the parallel-DES layer to end a domain window
-        #: at a gated mailbox poll without disturbing time order —
-        #: everything already run stays run, everything queued stays
-        #: queued. Always cleared when :meth:`run` returns.
-        self.stop = False
 
     # ------------------------------------------------------------------
     # Process lifecycle
@@ -120,15 +113,8 @@ class Scheduler:
         self.queue.push(process.time, process)
         return process
 
-    def wake(self, process: Process, time: int, *,
-             front: bool = False) -> None:
-        """Unpark *process* and schedule it at *time*.
-
-        ``front=True`` re-queues it ahead of every event already queued
-        at *time* — used by the parallel-DES layer to resume a gated
-        mailbox poll in its original position relative to same-cycle
-        peers (it was popped first; it must still run first).
-        """
+    def wake(self, process: Process, time: int) -> None:
+        """Unpark *process* and schedule it at *time*."""
         if not process.blocked:
             raise SimulationError(f"{process.name} is not blocked")
         if time < self.now:
@@ -139,25 +125,16 @@ class Scheduler:
         process.time = time
         self._n_parked -= 1
         self._parked_processes.discard(process)
-        if front:
-            self.queue.push_front(time, process)
-        else:
-            self.queue.push(time, process)
+        self.queue.push(time, process)
 
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def run(self, until: int | None = None, *,
-            allow_parked: bool = False) -> int:
+    def run(self, until: int | None = None) -> int:
         """Run until no runnable process remains (or past *until* cycles).
 
         Returns the final simulated time. Raises :class:`DeadlockError`
-        if live processes remain parked with nothing left to wake them —
-        unless ``allow_parked`` is set, which is how a parallel-DES
-        domain runs a bounded window: its queue may legitimately drain
-        while threads are parked waiting on messages from *other*
-        domains, and only the coordinator can tell that apart from a
-        real deadlock (see :mod:`repro.pdes`).
+        if live processes remain parked with nothing left to wake them.
         """
         queue = self.queue
         buckets = queue._buckets
@@ -173,8 +150,6 @@ class Scheduler:
         # resumption, so processes may push, spawn and wake freely.
         try:
             while times:
-                if self.stop:
-                    break
                 bucket_time = times[0]
                 if until is not None and bucket_time > until:
                     self.now = until
@@ -252,12 +227,9 @@ class Scheduler:
                             f"{process.name} yielded {request!r}; "
                             f"expected int time or BLOCK"
                         )
-                    if self.stop:
-                        break
         finally:
-            self.stop = False
             self.steps += steps
-        if self._n_parked and self._n_live and not allow_parked:
+        if self._n_parked and self._n_live:
             names = sorted(p.name for p in self._parked_processes)
             shown = ", ".join(names[:8])
             if len(names) > 8:

@@ -86,11 +86,3 @@ class JobError(CyclopsError):
 
 class ExploreError(CyclopsError):
     """An invalid :class:`~repro.explore.ChipSpec` or sweep grid."""
-
-
-class PdesError(SimulationError):
-    """The parallel-DES layer cannot partition or run this simulation."""
-
-
-class PdesCrashError(PdesError):
-    """A domain process of a parallel run died (crash or lost transport)."""

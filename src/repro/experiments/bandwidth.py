@@ -36,19 +36,52 @@ POINT_TASK = "repro.experiments.bandwidth:point"
 
 PLACEMENTS = ("scrambled", "local")
 
+#: Bank counts swept, keyed by ``quick``. The full-size grid starts at
+#: 8 banks: with 2 the paper chip's 126 stacks fill its memory, and
+#: with 4 the three 126,000-element vectors do not fit beside them.
+BANK_COUNTS = {True: (2, 4, 8), False: (8, 16, 32)}
+
+#: Triad elements per thread, keyed by ``quick``. The working set must
+#: dwarf the combined caches, or counted bandwidth rises above the bank
+#: peak on cache residency alone.
+ELEMENTS_PER_THREAD = {True: 600, False: 1000}
+
+
+def default_spec(quick: bool) -> ChipSpec:
+    """The chip the sweep derives its bank variants from."""
+    return ChipSpec.small(n_quads=8, n_banks=4) if quick \
+        else ChipSpec.paper()
+
+
+def grid(quick: bool, spec: ChipSpec | None = None) -> list[JobSpec]:
+    """One :func:`point` job per (placement, banks) cell."""
+    if spec is None:
+        spec = default_spec(quick)
+    threads = spec.n_threads - 2
+    return [JobSpec(task=POINT_TASK, payload={
+        "spec": replace(spec, n_banks=banks).to_dict(),
+        "placement": placement,
+        "threads": threads,
+        "elements": threads * ELEMENTS_PER_THREAD[quick],
+    }) for placement in PLACEMENTS for banks in BANK_COUNTS[quick]]
+
+
+def point_setup(payload: dict) -> tuple:
+    """The ``(chip, StreamParams)`` one grid cell runs."""
+    chip = ChipSpec.from_dict(payload["spec"]).build()
+    return chip, StreamParams(
+        kernel="triad",
+        n_elements=int(payload["elements"]),
+        n_threads=int(payload["threads"]),
+        local_caches=payload["placement"] == "local",
+        warmup=False,
+    )
+
 
 def point(spec: JobSpec) -> dict:
     """Job task: out-of-cache Triad under one placement on one chip."""
-    p = spec.payload
-    chip_spec = ChipSpec.from_dict(p["spec"])
-    chip = chip_spec.build()
-    result = run_stream(StreamParams(
-        kernel="triad",
-        n_elements=int(p["elements"]),
-        n_threads=int(p["threads"]),
-        local_caches=p["placement"] == "local",
-        warmup=False,
-    ), chip=chip)
+    chip, params = point_setup(spec.payload)
+    result = run_stream(params, chip=chip)
     config = chip.config
     # Actual bank traffic over the timed window; the counted STREAM
     # convention can drift above the bank peak on short windows.
@@ -68,13 +101,10 @@ def run(quick: bool = False, runner: JobRunner | None = None,
     """STREAM bandwidth vs bank count under two placement policies."""
     runner = runner if runner is not None else JobRunner()
     if spec is None:
-        spec = ChipSpec.small(n_quads=8, n_banks=4) if quick \
-            else ChipSpec.paper()
-    bank_counts = (2, 4, 8) if quick else (2, 4, 8, 16, 32)
+        spec = default_spec(quick)
+    bank_counts = BANK_COUNTS[quick]
     threads = spec.n_threads - 2
-    # The working set must dwarf the combined caches, or counted
-    # bandwidth rises above the bank peak on cache residency alone.
-    per_thread = 600 if quick else 1000
+    per_thread = ELEMENTS_PER_THREAD[quick]
 
     report = ExperimentReport(
         experiment_id="bandwidth",
@@ -86,13 +116,7 @@ def run(quick: bool = False, runner: JobRunner | None = None,
                "controllers only under good thread/data placement."),
     )
 
-    specs = [JobSpec(task=POINT_TASK, payload={
-        "spec": replace(spec, n_banks=banks).to_dict(),
-        "placement": placement,
-        "threads": threads,
-        "elements": threads * per_thread,
-    }) for placement in PLACEMENTS for banks in bank_counts]
-    values = runner.map(specs)
+    values = runner.map(grid(quick, spec))
     cells = {}
     index = 0
     for placement in PLACEMENTS:

@@ -32,18 +32,59 @@ from repro.workloads.stream import StreamParams, run_stream
 POINT_TASK = "repro.experiments.family_sweep:point"
 
 
-def _sharing_cell(degree: int, quick: bool) -> dict:
+#: Sharing degrees (threads per FPU/cache) swept, keyed by ``quick``.
+SHARING_DEGREES = {True: (2, 4), False: (1, 2, 4, 8)}
+
+#: Bank counts swept at both sizes. There is no 4-bank point: at full
+#: size the paper chip's three 126,000-element Triad vectors do not fit
+#: beside its 128 stacks.
+BANK_COUNTS = (8, 16)
+
+
+def grid(quick: bool) -> list[JobSpec]:
+    """One :func:`point` job per sharing degree, then per bank count."""
+    specs = [JobSpec(task=POINT_TASK, payload={
+        "part": "sharing", "degree": degree, "quick": bool(quick),
+    }) for degree in SHARING_DEGREES[quick]]
+    specs += [JobSpec(task=POINT_TASK, payload={
+        "part": "banks", "banks": banks, "quick": bool(quick),
+    }) for banks in BANK_COUNTS]
+    return specs
+
+
+def triad_setup(payload: dict) -> tuple[ChipConfig, StreamParams]:
+    """The chip configuration and Triad one grid cell runs."""
+    quick = bool(payload["quick"])
+    if payload["part"] == "sharing":
+        degree = int(payload["degree"])
+        n_threads = 16 if quick else 32
+        per_thread = 200 if quick else 400
+        cfg = ChipConfig(
+            n_threads=64, threads_per_quad=degree,
+            quads_per_icache=1 if degree >= 8 else 2,
+        )
+        return cfg, StreamParams(
+            kernel="triad", n_elements=n_threads * per_thread,
+            n_threads=n_threads, policy=AllocationPolicy.SEQUENTIAL,
+        )
+    if payload["part"] == "banks":
+        # A genuinely out-of-cache working set (3 vectors x 126 x N x 8 B
+        # must dwarf the 512 KB of cache) so the banks are the bottleneck.
+        bank_per_thread = 400 if quick else 1000
+        cfg = replace(ChipConfig.paper(),
+                      n_memory_banks=int(payload["banks"]))
+        return cfg, StreamParams(
+            kernel="triad", n_elements=126 * bank_per_thread,
+            n_threads=126, warmup=False,
+        )
+    raise ValueError(f"unknown family-sweep part {payload['part']!r}")
+
+
+def _sharing_cell(payload: dict) -> dict:
     """Triad + DGEMM on a 64-thread chip at one FPU/cache sharing degree."""
-    n_threads = 16 if quick else 32
-    per_thread = 200 if quick else 400
-    cfg = ChipConfig(
-        n_threads=64, threads_per_quad=degree,
-        quads_per_icache=1 if degree >= 8 else 2,
-    )
-    triad = run_stream(StreamParams(
-        kernel="triad", n_elements=n_threads * per_thread,
-        n_threads=n_threads, policy=AllocationPolicy.SEQUENTIAL,
-    ), config=cfg)
+    cfg, params = triad_setup(payload)
+    n_threads = params.n_threads
+    triad = run_stream(params, config=cfg)
     dgemm = run_dgemm(DgemmParams(
         n=16, block=8, n_threads=min(n_threads, 16),
         use_scratchpad=False, policy=AllocationPolicy.SEQUENTIAL,
@@ -56,16 +97,10 @@ def _sharing_cell(degree: int, quick: bool) -> dict:
     }
 
 
-def _banks_cell(banks: int, quick: bool) -> dict:
-    """Out-of-cache Triad at full occupancy with *banks* memory banks."""
-    # A genuinely out-of-cache working set (3 vectors x 126 x N x 8 B
-    # must dwarf the 512 KB of cache) so the banks are the bottleneck.
-    bank_per_thread = 400 if quick else 1000
-    cfg = replace(ChipConfig.paper(), n_memory_banks=banks)
-    triad = run_stream(StreamParams(
-        kernel="triad", n_elements=126 * bank_per_thread,
-        n_threads=126, warmup=False,
-    ), config=cfg)
+def _banks_cell(payload: dict) -> dict:
+    """Out-of-cache Triad at full occupancy with one bank count."""
+    cfg, params = triad_setup(payload)
+    triad = run_stream(params, config=cfg)
     return {
         "peak_gb_s": float(cfg.peak_memory_bandwidth / 1e9),
         "triad_gb_s": float(triad.bandwidth_gb_s),
@@ -75,12 +110,9 @@ def _banks_cell(banks: int, quick: bool) -> dict:
 
 def point(spec: JobSpec) -> dict:
     """Job task: one cell of the family trade-off surface."""
-    p = spec.payload
-    if p["part"] == "sharing":
-        return _sharing_cell(int(p["degree"]), bool(p["quick"]))
-    if p["part"] == "banks":
-        return _banks_cell(int(p["banks"]), bool(p["quick"]))
-    raise ValueError(f"unknown family-sweep part {p['part']!r}")
+    if spec.payload["part"] == "sharing":
+        return _sharing_cell(spec.payload)
+    return _banks_cell(spec.payload)
 
 
 @register("family")
@@ -88,8 +120,7 @@ def run(quick: bool = False,
         runner: JobRunner | None = None) -> ExperimentReport:
     """Sweep sharing degree and bank count."""
     runner = runner if runner is not None else JobRunner()
-    sharing_degrees = (2, 4) if quick else (1, 2, 4, 8)
-    bank_counts = (8, 16) if quick else (4, 8, 16)
+    sharing_degrees = SHARING_DEGREES[quick]
     n_threads = 16 if quick else 32
 
     report = ExperimentReport(
@@ -102,13 +133,7 @@ def run(quick: bool = False,
                "report [3] studies the family."),
     )
 
-    specs = [JobSpec(task=POINT_TASK, payload={
-        "part": "sharing", "degree": degree, "quick": bool(quick),
-    }) for degree in sharing_degrees]
-    specs += [JobSpec(task=POINT_TASK, payload={
-        "part": "banks", "banks": banks, "quick": bool(quick),
-    }) for banks in bank_counts]
-    values = runner.map(specs)
+    values = runner.map(grid(quick))
     sharing_cells = values[:len(sharing_degrees)]
     banks_cells = values[len(sharing_degrees):]
 
@@ -129,7 +154,7 @@ def run(quick: bool = False,
     report.measurements["dgemm_flops_degree_max"] = rows[-1][3]
 
     rows = []
-    for banks, cell in zip(bank_counts, banks_cells):
+    for banks, cell in zip(BANK_COUNTS, banks_cells):
         rows.append([
             banks, cell["peak_gb_s"], cell["triad_gb_s"],
             "yes" if cell["verified"] else "NO",

@@ -89,13 +89,7 @@ class JobEvent:
 # Worker process
 # ---------------------------------------------------------------------------
 def kill_process(process, grace: float = 1.0) -> None:
-    """Terminate *process*, escalating to SIGKILL after *grace* seconds.
-
-    The one sanctioned way to take down a simulation child anywhere in
-    the tree — the worker pool here and the parallel-DES coordinator
-    (:mod:`repro.pdes.coordinator`) both use it, so escalation policy
-    lives in one place.
-    """
+    """Terminate *process*, escalating to SIGKILL after *grace* seconds."""
     if process.ident is None:
         return  # never started (e.g. spawn itself failed) — nothing to kill
     if process.is_alive():

@@ -9,11 +9,8 @@ target applications (molecular dynamics, linear algebra) use at system
 scale, and it weak-scales: the per-cell work is constant while the
 system grows.
 
-The workload is expressed as a :class:`~repro.pdes.program.CellProgram`
-— population happens in a module-level ``halo_setup`` task and results
-come back through the system blackboard — so the same run can execute
-serially or partitioned across host processes
-(``run_halo(..., domains=N)``) with byte-identical results.
+``halo_setup`` populates a system (bands, initial data, thread teams)
+and the threads report their timings through the system blackboard.
 """
 
 from __future__ import annotations
@@ -23,11 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.config import ChipConfig
-from repro.configio import config_to_dict
 from repro.errors import WorkloadError
-from repro.pdes.program import CellProgram
 from repro.runtime.kernel import AllocationPolicy
 from repro.system.multichip import MultiChipSystem
+from repro.system.topology import Topology
 from repro.workloads.common import block_ranges
 
 
@@ -38,8 +34,7 @@ class HaloParams:
     ``mesh_ny > 1`` lays the chain of cells over an
     ``(n_chips/mesh_ny) x mesh_ny`` mesh in linear (x-major) order:
     the band decomposition and the data flow are unchanged, but chain
-    neighbours at row boundaries exchange over multi-hop routes —
-    the mesh shapes the benchmarks and the parallel partition use.
+    neighbours at row boundaries exchange over multi-hop routes.
     """
 
     n_chips: int = 2
@@ -68,15 +63,14 @@ class HaloResult:
     cycles: int
     link_bytes: int
     verified: bool
-    #: The system the run left behind (counters, memory, pdes stats);
-    #: what the differential tests compare between serial and parallel.
+    #: The system the run left behind (counters, memory, blackboard).
     system: MultiChipSystem | None = field(default=None, repr=False)
 
 
 def _cell_body(ctx, system: MultiChipSystem, coord, params: HaloParams,
                layout, barrier, me: int):
     """One thread of one cell; thread 0 additionally runs the exchange."""
-    base, n = layout["base"], params.band_elements
+    n = params.band_elements
     topology = system.topology
     index = topology.index(coord)
     # Chain neighbours in linear order; on a 1-D chain these are the
@@ -123,15 +117,8 @@ def _cell_body(ctx, system: MultiChipSystem, coord, params: HaloParams,
         system.blackboard[f"halo.src:{index}"] = layout["src"]
 
 
-def halo_setup(system: MultiChipSystem, payload: dict) -> None:
-    """CellProgram setup task: allocate bands, stage data, spawn teams.
-
-    Runs identically in the serial parent and in every domain process
-    of a partitioned run — the bump-heap allocations and the initial
-    grid (seeded rng) are replica-identical, and spawns on foreign
-    cells are filtered by ownership inside :meth:`spawn_on`.
-    """
-    params = HaloParams(**payload)
+def halo_setup(system: MultiChipSystem, params: HaloParams) -> None:
+    """Allocate each cell's bands, stage the initial grid, spawn teams."""
     topology = system.topology
     n = params.band_elements
     rng = np.random.default_rng(seed=67)
@@ -148,7 +135,7 @@ def halo_setup(system: MultiChipSystem, payload: dict) -> None:
         view[:] = global_grid[c * n:c * n + n + 2]
         interior = block_ranges(n, params.threads_per_chip)
         layout = {
-            "base": src, "src": src, "dst": dst,
+            "src": src, "dst": dst,
             "ranges": [range(r.start + 1, r.stop + 1) for r in interior],
         }
         barrier = kernel.hardware_barrier(0, params.threads_per_chip)
@@ -156,24 +143,6 @@ def halo_setup(system: MultiChipSystem, payload: dict) -> None:
             system.spawn_on(coord, _cell_body, system, coord, params,
                             layout, barrier, t,
                             name=f"halo-{c}-{t}")
-
-
-def halo_program(params: HaloParams,
-                 config: ChipConfig | None = None) -> CellProgram:
-    """The halo workload as reconstruction-recipe data."""
-    return CellProgram(
-        nx=params.n_chips // params.mesh_ny, ny=params.mesh_ny, nz=1,
-        config=config_to_dict(config) if config is not None else None,
-        policy=AllocationPolicy.BALANCED.value,
-        setup="repro.system.halo:halo_setup",
-        payload={
-            "n_chips": params.n_chips,
-            "band_elements": params.band_elements,
-            "iterations": params.iterations,
-            "threads_per_chip": params.threads_per_chip,
-            "mesh_ny": params.mesh_ny,
-        },
-    )
 
 
 def _reference(global_grid: np.ndarray, iterations: int) -> np.ndarray:
@@ -185,16 +154,14 @@ def _reference(global_grid: np.ndarray, iterations: int) -> np.ndarray:
     return grid
 
 
-def run_halo(params: HaloParams, config: ChipConfig | None = None,
-             domains: int | None = None) -> HaloResult:
-    """Run the halo exchange over a 1-D chain of cells.
-
-    ``domains=N`` opts in to the conservative parallel simulation; the
-    result (cycles, counters, memory, link traffic) is byte-identical
-    to the serial run either way.
-    """
-    system = MultiChipSystem.build(halo_program(params, config))
-    system.run(domains=domains)
+def run_halo(params: HaloParams,
+             config: ChipConfig | None = None) -> HaloResult:
+    """Run the halo exchange over a chain of cells."""
+    system = MultiChipSystem(
+        Topology(params.n_chips // params.mesh_ny, params.mesh_ny, 1),
+        config, policy=AllocationPolicy.BALANCED)
+    halo_setup(system, params)
+    system.run()
 
     topology = system.topology
     n = params.band_elements

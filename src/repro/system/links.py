@@ -103,16 +103,6 @@ class LinkFabric:
             tail = grant + cycles + HOP_LATENCY
         return tail
 
-    def min_hop_latency_cycles(self) -> int:
-        """Lower bound on one hop: 1 serialization cycle + router latency.
-
-        No message sent at cycle ``t`` can influence a neighbouring chip
-        before ``t + min_hop_latency_cycles()``; this is the lookahead
-        the conservative parallel simulation (:mod:`repro.pdes`) derives
-        from the link model.
-        """
-        return 1 + HOP_LATENCY
-
     @property
     def total_bytes(self) -> int:
         """Traffic across the whole fabric."""

@@ -12,15 +12,8 @@ exchange messages over the links. Messages are memory-to-memory — the
 payload is read from the sender's embedded DRAM and lands in the
 receiver's, charged on every link of the route.
 
-By default every cell simulates under one global scheduler, so
-cross-chip timing is exact with respect to the link model. A system
-built from a :class:`~repro.pdes.program.CellProgram` can instead run
-partitioned across host processes — ``run(domains=N)`` or
-``CYCLOPS_PDES=N`` — through the conservative parallel-DES layer in
-:mod:`repro.pdes`, which validates byte-identical against this serial
-path. When no program is attached (the system was populated with live
-closures) or the partition is rejected, ``run`` falls back to the serial
-engine and records why in :attr:`pdes_fallback_reason`.
+Every cell simulates under one global scheduler, so cross-chip timing
+is exact with respect to the link model.
 """
 
 from __future__ import annotations
@@ -36,10 +29,6 @@ from repro.errors import ConfigError
 from repro.runtime.kernel import AllocationPolicy, Kernel
 from repro.system.links import LinkFabric
 from repro.system.topology import Coord, Topology
-
-#: Environment opt-in: number of parallel-DES domains for ``run()``
-#: when the caller does not pass ``domains=`` explicitly.
-PDES_ENV = "CYCLOPS_PDES"
 
 #: Sampled-simulation knob (mirrors ``repro.sampling.SAMPLE_ENV`` as a
 #: literal; the default path must not import the sampling package).
@@ -72,11 +61,8 @@ class _Mailbox:
 
     Drain order is *deterministic*: among deliverable messages, a
     receive always takes the smallest ``(arrival, send time, sender
-    coord index, per-channel sequence)`` — never the host-side arrival
-    interleaving. This is what makes a domain-partitioned replay
-    (:mod:`repro.pdes`) reproduce the serial engine's choices exactly:
-    the same message wins no matter which order the transport delivered
-    the candidates in.
+    coord index, per-channel sequence)`` — never the order the messages
+    were posted in.
     """
 
     def __init__(self) -> None:
@@ -103,10 +89,6 @@ class _Mailbox:
         times = [m.arrival for m in self.messages
                  if from_index is None or m.src_index == from_index]
         return min(times) if times else None
-
-    def drain_order(self) -> list[_Message]:
-        """Every held message in the order receives would take them."""
-        return sorted(self.messages, key=lambda m: m.key)
 
 
 class MultiChipSystem:
@@ -137,46 +119,12 @@ class MultiChipSystem:
         self._mailboxes = {
             topology.coord(i): _Mailbox() for i in range(topology.n_chips)
         }
-        #: Per-(src, dst) message sequence numbers. Assigned at the
-        #: *sender*, so a partitioned run numbers messages identically
-        #: to the serial one (the sender's execution is the same).
+        #: Per-(src, dst) message sequence numbers, assigned at the
+        #: sender: the last key of the mailbox select order.
         self._send_seq: dict[tuple[Coord, Coord], int] = {}
-        #: Results area for program threads: JSON-safe values written by
-        #: thread bodies (timings, final pointers). In a partitioned run
-        #: each domain's blackboard is merged back into the parent's.
+        #: Results area for program threads: values written by thread
+        #: bodies (timings, final pointers).
         self.blackboard: dict[str, Any] = {}
-        #: The :class:`~repro.pdes.program.CellProgram` this system was
-        #: built from, when it was built from one (see :meth:`build`).
-        self.program = None
-        #: Domain runtime hook installed by :mod:`repro.pdes` inside a
-        #: domain process; ``None`` in the ordinary serial system.
-        self._pdes = None
-        #: Why the last ``run(domains=N)`` fell back to serial (if it did).
-        self.pdes_fallback_reason: str | None = None
-        #: Merged ``pdes.*`` statistics of the last parallel run.
-        self.pdes_stats: dict[str, Any] | None = None
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def build(cls, program, pdes_runtime=None) -> "MultiChipSystem":
-        """Construct a system from a :class:`~repro.pdes.program.CellProgram`.
-
-        The program's setup task runs immediately (allocations, initial
-        data, thread spawns), exactly as it would inside each domain
-        process of a partitioned run — which is what makes the serial
-        parent and the parallel domains bit-compatible. When
-        *pdes_runtime* is given it is installed before setup so spawns
-        and host loads are filtered to the runtime's owned cells.
-        """
-        system = cls(program.make_topology(), program.chip_config(),
-                     policy=program.allocation_policy(),
-                     routing=program.routing)
-        system.program = program
-        if pdes_runtime is not None:
-            system._pdes = pdes_runtime
-            pdes_runtime.attach(system)
-        program.run_setup(system)
-        return system
 
     # ------------------------------------------------------------------
     def kernel_at(self, coord: Coord) -> Kernel:
@@ -186,10 +134,6 @@ class MultiChipSystem:
     def chip_at(self, coord: Coord) -> Chip:
         """The chip at *coord*."""
         return self.chips[self.topology.index(coord)]
-
-    def owns(self, coord: Coord) -> bool:
-        """True when this process simulates the cell at *coord*."""
-        return self._pdes is None or self._pdes.owns(coord)
 
     # ------------------------------------------------------------------
     # Message passing between cells
@@ -211,41 +155,17 @@ class MultiChipSystem:
         start = yield ctx.tu.issue_time
         ctx.tu.issue_at(start)
         ctx.tu.retire(1)  # the send instruction
-        if self._pdes is not None:
-            # Every link the route reserves must be this domain's: a
-            # foreign link's local replica carries none of its owner's
-            # traffic, so its timing would be wrong. Raising here aborts
-            # the parallel attempt and the run falls back to serial.
-            self._pdes.check_route(src, dst)
         payload = self.chip_at(src).memory.backing.read_block(
             physical, n_bytes)
         arrival = self.fabric.send(start, src, dst, n_bytes)
-        message = _Message(arrival, start, self.topology.index(src),
-                           self._next_seq(src, dst), src, payload)
-        if self._pdes is not None and not self._pdes.owns(dst):
-            # Cross-domain: the destination mailbox lives in another
-            # process. The route's links were just checked to be ours;
-            # the runtime ships the message and the owning domain
-            # applies it once its safe horizon passes `arrival`.
-            self._pdes.export_message(dst, message)
-            return arrival
-        self.deliver(dst, message)
-        return arrival
-
-    def deliver(self, dst: Coord, message: _Message) -> None:
-        """Land *message* in the mailbox at *dst* and wake its waiters.
-
-        In the serial system this happens inline at send time; in a
-        partitioned run the owning domain calls it when its safe horizon
-        passes the message's arrival, which is why waiters wake at
-        ``max(arrival, now)`` in both cases — the arrival is always in
-        the local future of the send (link latency > 0).
-        """
         mailbox = self._mailboxes[dst]
-        mailbox.post(message)
+        mailbox.post(_Message(arrival, start, self.topology.index(src),
+                              self._next_seq(src, dst), src, payload))
+        # Waiters re-poll at the arrival, which is always in the future
+        # of the send (link latency > 0).
         for waiting in mailbox.waiters.wake_all():
-            self.scheduler.wake(waiting.process,
-                                max(message.arrival, self.scheduler.now))
+            self.scheduler.wake(waiting.process, arrival)
+        return arrival
 
     def receive(self, ctx, physical: int, from_coord: Coord | None = None):
         """Generator: block until a message arrives; returns (src, size).
@@ -258,26 +178,8 @@ class MultiChipSystem:
         mailbox = self._mailboxes[coord]
         from_index = None if from_coord is None \
             else self.topology.index(from_coord)
-        # A receive filtered to a sender this domain owns can never
-        # match a cross-domain message: its whole life is in-domain and
-        # it needs no synchronization. Only *exposed* polls — unfiltered
-        # or filtered to a foreign cell — must respect the safe horizon.
-        exposed = self._pdes is not None and (
-            from_coord is None or not self._pdes.owns(from_coord))
         while True:
             now = yield ctx.tu.issue_time
-            if exposed and now >= self._pdes.safe:
-                # A mailbox poll is the only event kind that can observe
-                # cross-domain state, so it alone must wait for the safe
-                # horizon: unknown messages could still arrive at or
-                # before `now`. Gating stops the domain window right
-                # here (nothing later runs), and the domain loop wakes
-                # us at this same cycle once the mailbox is provably
-                # complete up to it.
-                self._pdes.gate(ctx, now)
-                woke = yield BLOCK
-                ctx.tu.issue_at(woke)
-                continue
             message = mailbox.select(now, from_index)
             if message is not None:
                 mailbox.messages.remove(message)
@@ -292,15 +194,7 @@ class MultiChipSystem:
                 ctx.tu.issue_at(in_flight)
                 continue
             mailbox.waiters.park(ctx)
-            if exposed:
-                # An exposed parked waiter is woken at a message's
-                # arrival time, so while any exist the domain window
-                # must clamp to the safe horizon (an unknown arrival
-                # could be the earliest wake).
-                self._pdes.note_parked()
             woke = yield BLOCK
-            if exposed:
-                self._pdes.waiter_resumed()
             ctx.tu.issue_at(woke)
 
     def host_load(self, time: int, coord: Coord, physical: int,
@@ -308,14 +202,10 @@ class MultiChipSystem:
         """Stage *data* from the host into a cell over its seventh link.
 
         Returns the completion time. This is how input data sets reach a
-        cellular system before the computation starts. The timing math
-        runs in every domain of a partitioned run (the timelines must
-        stay replica-identical); the memory write only lands on the
-        owning domain's chip.
+        cellular system before the computation starts.
         """
         arrival = self.fabric.host_links[coord].transfer(time, len(data))
-        if self.owns(coord):
-            self.chip_at(coord).memory.backing.write_block(physical, data)
+        self.chip_at(coord).memory.backing.write_block(physical, data)
         return arrival
 
     def host_store(self, time: int, coord: Coord, physical: int,
@@ -335,28 +225,12 @@ class MultiChipSystem:
     # ------------------------------------------------------------------
     def spawn_on(self, coord: Coord, body: Callable, *args,
                  name: str = ""):
-        """Spawn a software thread on the cell at *coord*.
-
-        Inside a domain process, spawns on cells owned by *other*
-        domains return ``None`` without creating a thread: the setup
-        task runs identically everywhere, but each cell executes in
-        exactly one process.
-        """
-        if not self.owns(coord):
-            return None
+        """Spawn a software thread on the cell at *coord*."""
         return self.kernel_at(coord).spawn(body, *args, name=name)
 
     # ------------------------------------------------------------------
-    def run(self, until: int | None = None,
-            domains: int | None = None, sampled=None) -> int:
+    def run(self, until: int | None = None, sampled=None) -> int:
         """Run the whole system to quiescence.
-
-        ``domains=N`` (or ``CYCLOPS_PDES=N`` in the environment) opts in
-        to conservative parallel simulation with N host processes; it
-        requires the system to have been built from a
-        :class:`~repro.pdes.program.CellProgram` (see :meth:`build`) and
-        falls back to the serial engine — recording the reason — when
-        N <= 1, the partition is rejected, or the parallel run degrades.
 
         ``sampled=`` (or ``CYCLOPS_SAMPLE`` in the environment) is
         *rejected* here with an explanation rather than silently
@@ -380,29 +254,4 @@ class MultiChipSystem:
                     "chip, or unset " + SAMPLE_ENV + " / pass "
                     "sampled=False for an exact system run."
                 )
-        if domains is None:
-            raw = os.environ.get(PDES_ENV, "").strip()
-            if raw:
-                try:
-                    domains = int(raw)
-                except ValueError:
-                    raise ConfigError(
-                        f"{PDES_ENV}={raw!r} is not an integer")
-        if domains is not None and domains > 1:
-            if until is not None:
-                self.pdes_fallback_reason = \
-                    "bounded runs (until=...) are serial-only"
-            elif self.program is None:
-                self.pdes_fallback_reason = (
-                    "system carries live closures, not a CellProgram; "
-                    "build it with MultiChipSystem.build() to partition"
-                )
-            else:
-                from repro.pdes import run_system_parallel
-
-                final = run_system_parallel(self, domains)
-                if final is not None:
-                    return final
-                # run_system_parallel set pdes_fallback_reason and left
-                # the system untouched: finish the job serially.
         return self.scheduler.run(until)

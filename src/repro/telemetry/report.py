@@ -212,10 +212,7 @@ def build_system_report(system, workload: str,
     """One :class:`RunReport` for a whole :class:`MultiChipSystem` run.
 
     Counters aggregate across every chip (threads are keyed
-    ``"chip:tid"``), and when the run executed under :mod:`repro.pdes`
-    the per-domain synchronization totals land in the registry as
-    ``pdes.*`` counters — so a parallel run and its serial twin produce
-    the same report apart from that block. A harness that drove
+    ``"chip:tid"``). A harness that drove
     per-chip ISA interpreters under sampled simulation can likewise
     attach a normalized estimate dict as ``system.sampling_stats``; a
     non-empty one is published as ``sampling.*`` metrics and recorded
@@ -236,20 +233,6 @@ def build_system_report(system, workload: str,
                 continue
             aggregate.merge(tu.counters)
             threads[f"{index}:{tu.tid}"] = _counters_dict(tu.counters)
-    stats = getattr(system, "pdes_stats", None)
-    if stats:
-        registry.counter("pdes.null_messages").inc(stats["null_messages"])
-        registry.counter("pdes.blocked_time").inc(
-            stats["blocked_seconds"])
-        registry.counter("pdes.messages").inc(stats["messages"])
-        registry.gauge("pdes.domains").set(stats["domains"])
-        for domain, dstats in stats.get("per_domain", {}).items():
-            registry.counter(
-                "pdes.null_messages", domain=domain
-            ).inc(dstats["null_messages"])
-            registry.counter(
-                "pdes.blocked_time", domain=domain
-            ).inc(dstats["blocked_seconds"])
     sampling_stats = getattr(system, "sampling_stats", None)
     if sampling_stats:
         publish_sampling_metrics(registry, sampling_stats)

@@ -3,10 +3,10 @@
 The calendar queue must be *observably identical* to a plain
 ``(time, seq)`` heap: same pop order (FIFO within a tie group), same
 lengths, same peek times. The unit tests pin each case of the bucket
-layout; the Hypothesis tests drive random interleavings of push,
-push_front and pop against the pure-heap reference implementation, and
-random process programs through :class:`Scheduler` and a
-resume-by-resume reference scheduler.
+layout; the Hypothesis tests drive random interleavings of push and
+pop against the pure-heap reference implementation, and random process
+programs through :class:`Scheduler` and a resume-by-resume reference
+scheduler.
 """
 
 from heapq import heappop, heappush
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.engine.events import EventQueue, Waiter
 from repro.engine.scheduler import BLOCK, Scheduler
+from repro.errors import DeadlockError
 
 
 class ReferenceQueue:
@@ -32,11 +33,6 @@ class ReferenceQueue:
 
     def push(self, time, payload) -> None:
         heappush(self._heap, (time, next(self._seq), payload))
-
-    def push_front(self, time, payload) -> None:
-        # A negative sequence sorts ahead of every entry already queued
-        # at *time*, including earlier front pushes.
-        heappush(self._heap, (time, -next(self._seq), payload))
 
     def pop(self):
         time, _, payload = heappop(self._heap)
@@ -145,12 +141,10 @@ _OPS = st.lists(
     max_size=200,
 )
 
-#: _OPS plus front pushes and pushes a few cycles before the current head.
+#: _OPS plus pushes a few cycles before the current head.
 _GENERIC_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("push"), st.integers(min_value=0, max_value=8)),
-        st.tuples(st.just("push_front"), st.integers(min_value=0,
-                                                     max_value=8)),
         st.tuples(st.just("push_before_head"),
                   st.integers(min_value=0, max_value=3)),
         st.tuples(st.just("pop"), st.just(0)),
@@ -172,9 +166,6 @@ def test_matches_reference_heap(ops):
         elif op == "push":
             fast.push(time, serial)
             reference.push(time, serial)
-        elif op == "push_front":
-            fast.push_front(time, serial)
-            reference.push_front(time, serial)
         elif len(reference):
             assert fast.pop() == reference.pop()
         assert len(fast) == fast.n == len(reference)
@@ -225,7 +216,6 @@ class ReferenceScheduler:
     def __init__(self) -> None:
         self.queue = ReferenceQueue()
         self.now = 0
-        self.stop = False
         self.steps = 0
         self.n_parked = 0
         self._next_pid = 0
@@ -237,23 +227,18 @@ class ReferenceScheduler:
                         process)
         return process
 
-    def wake(self, process, time, *, front=False):
+    def wake(self, process, time):
         assert process.blocked and time >= self.now
         process.blocked = False
         self.n_parked -= 1
-        if front:
-            self.queue.push_front(time, process)
-        else:
-            self.queue.push(time, process)
+        self.queue.push(time, process)
 
-    def run(self, until=None, *, allow_parked=False):
+    def run(self, until=None):
         queue = self.queue
         while len(queue):
-            if self.stop:
-                break
             if until is not None and queue.peek_time() > until:
                 self.now = until
-                break
+                return until
             time, process = queue.pop()
             self.now = time
             value = time if process.started else None
@@ -269,7 +254,9 @@ class ReferenceScheduler:
             elif request is not None:
                 assert request >= time
                 queue.push(request, process)
-        self.stop = False
+        if self.n_parked:
+            # A parked process is live: nothing is left to wake it.
+            raise DeadlockError(f"{self.n_parked} process(es) blocked")
         return self.now
 
 
@@ -280,7 +267,6 @@ class _Env:
         self.sched = sched
         self.log = []
         self.parked = []
-        self.stopped = []
 
 
 def _scripted(env, script, children, cell):
@@ -294,13 +280,9 @@ def _scripted(env, script, children, cell):
         elif kind == "block":
             env.parked.append(cell[0])
             granted = yield BLOCK
-        elif kind == "stop":
-            sched.stop = True
-            env.stopped.append(cell[0])
-            granted = yield BLOCK
         elif kind == "wake":
             if env.parked:
-                sched.wake(env.parked.pop(0), sched.now, front=action[1])
+                sched.wake(env.parked.pop(0), sched.now)
             continue
         else:  # spawn a child script, now or a little later
             _spawn(env, children[action[1]], children,
@@ -316,35 +298,32 @@ def _spawn(env, script, children, start):
 
 
 def _drive(sched, program):
-    """Run *program* to quiescence; the observations to compare."""
+    """Run *program* to quiescence; the observations to compare.
+
+    A run that drains the queue with processes still parked ends in
+    :class:`DeadlockError`; that outcome is observed like a return.
+    """
     env = _Env(sched)
     for start, script in zip(program["starts"], program["tops"]):
         _spawn(env, script, program["children"], start)
     observed = []
     for until in sorted(program["untils"]) + [None]:
-        while True:
-            now = sched.run(until=until, allow_parked=True)
-            queue = sched.queue
-            n = len(queue)
-            observed.append((now, sched.now, n,
-                             queue.peek_time() if n else None,
-                             sched.steps, sched.n_parked,
-                             tuple(env.log)))
-            if not env.stopped:
-                break
-            # Resume the processes that stopped the window where a
-            # parallel-DES domain would: at the current cycle, in front.
-            for process in env.stopped:
-                sched.wake(process, sched.now, front=True)
-            env.stopped.clear()
+        try:
+            outcome = sched.run(until=until)
+        except DeadlockError:
+            outcome = "deadlock"
+        queue = sched.queue
+        n = len(queue)
+        observed.append((outcome, sched.now, n,
+                         queue.peek_time() if n else None,
+                         sched.steps, sched.n_parked, tuple(env.log)))
     return observed
 
 
 _ACTION = st.one_of(
     st.tuples(st.just("delay"), st.sampled_from([0, 0, 0, 1, 1, 2, 5])),
     st.just(("block",)),
-    st.tuples(st.just("wake"), st.booleans()),
-    st.just(("stop",)),
+    st.just(("wake",)),
 )
 
 #: Top-level scripts may spawn children; children spawn nothing.
@@ -371,8 +350,8 @@ _PROGRAMS = st.fixed_dictionaries({
 def test_scheduler_matches_reference_scheduler(program):
     """Same resume sequence ``(time, pid)``, and the same ``now``,
     queue length, head time, step and parked counts after every
-    :meth:`Scheduler.run` return, under ties, blocking and same-cycle
-    wakes (front and back), mid-run spawns, ``until`` and ``stop``."""
+    :meth:`Scheduler.run` return or deadlock, under ties, blocking and
+    same-cycle wakes, mid-run spawns and ``until``."""
     assert _drive(Scheduler(), program) == \
         _drive(ReferenceScheduler(), program)
 

@@ -249,3 +249,36 @@ class TestRunnerJobsMode:
         assert stats["submitted"] >= 1
         assert stats["cache_hits"] == stats["cache_misses"] == 0
         assert not cache_dir.exists()
+
+
+class TestGridsFitTheChip:
+    """Every point of each driver's grid, quick and full size, holds its
+    working set: the chip boots a kernel (stacks fit) and the heap takes
+    the Triad vectors. Nothing is simulated, so the full-size grids are
+    checked at tier-1 cost."""
+
+    @staticmethod
+    def _allocate(chip, params) -> None:
+        from repro.runtime.kernel import Kernel
+
+        kernel = Kernel(chip, params.policy)
+        assert params.n_threads <= kernel.max_software_threads
+        copies = params.n_threads if params.independent else 1
+        for _ in range(3 * copies):
+            kernel.heap.alloc_f64_array(params.n_elements)
+
+    @pytest.mark.parametrize("quick", [True, False])
+    def test_bandwidth(self, quick):
+        from repro.experiments import bandwidth
+
+        for spec in bandwidth.grid(quick):
+            self._allocate(*bandwidth.point_setup(spec.payload))
+
+    @pytest.mark.parametrize("quick", [True, False])
+    def test_family(self, quick):
+        from repro.core.chip import Chip
+        from repro.experiments import family_sweep
+
+        for spec in family_sweep.grid(quick):
+            config, params = family_sweep.triad_setup(spec.payload)
+            self._allocate(Chip(config), params)

@@ -9,7 +9,7 @@ from repro.config import ChipConfig
 from repro.errors import ConfigError, WorkloadError
 from repro.system.halo import HaloParams, run_halo
 from repro.system.links import HOP_LATENCY, LinkFabric
-from repro.system.multichip import MultiChipSystem
+from repro.system.multichip import MultiChipSystem, _Mailbox, _Message
 from repro.system.topology import Topology, TorusTopology
 
 
@@ -209,6 +209,57 @@ class TestMultiChipSystem:
         thread = system.spawn_on(mid, receiver)
         system.run()
         assert thread.result == (222, 111)
+
+
+class TestMailboxOrder:
+    """A receive takes the smallest deliverable ``(arrival, send time,
+    sender, sequence)``, whatever order the messages were posted in."""
+
+    def _message(self, arrival, send_time, src_index, seq) -> _Message:
+        return _Message(arrival, send_time, src_index, seq,
+                        src=(src_index, 0, 0), payload=b"x")
+
+    @staticmethod
+    def _receive_all(box: _Mailbox, now: int) -> list[_Message]:
+        """Every message, in the order successive receives take them."""
+        taken = []
+        while (message := box.select(now, None)) is not None:
+            box.messages.remove(message)
+            taken.append(message)
+        return taken
+
+    def test_receive_order_ignores_post_interleaving(self):
+        a = self._message(20, 5, 1, 0)
+        b = self._message(10, 9, 0, 0)
+        c = self._message(10, 2, 3, 0)
+        d = self._message(10, 2, 2, 0)
+        for posting in ([a, b, c, d], [d, c, b, a], [b, d, a, c]):
+            box = _Mailbox()
+            for message in posting:
+                box.post(message)
+            assert self._receive_all(box, 20) == [d, c, b, a]
+
+    def test_select_takes_the_smallest_deliverable_key(self):
+        box = _Mailbox()
+        late = self._message(50, 1, 0, 0)
+        early = self._message(10, 8, 1, 0)
+        box.post(late)
+        box.post(early)
+        # Only `early` has arrived by t=20.
+        assert box.select(20, None) is early
+        # At t=60 both are deliverable; arrival order wins.
+        assert box.select(60, None) is early
+        # A sender filter restricts the candidates.
+        assert box.select(60, 0) is late
+        assert box.select(60, 7) is None
+
+    def test_same_channel_messages_drain_in_send_order(self):
+        box = _Mailbox()
+        first = self._message(30, 4, 0, 0)
+        second = self._message(30, 4, 0, 1)
+        box.post(second)
+        box.post(first)
+        assert self._receive_all(box, 30) == [first, second]
 
 
 class TestHostLink:
